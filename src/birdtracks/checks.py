@@ -65,8 +65,9 @@ def check_chi_constants() -> bool:
     """Bent three-strand basis elements have the advertised squared norms."""
     bent = [element.bend() for element in builtin_orthogonal_basis(3)]
     pattern = (0, 1, 1, 1, 1, 2)
-    return all(inner_product(state, state) == _rc(_CHI_INVERSE[which])
-               for state, which in zip(bent, pattern))
+    return len(bent) == len(pattern) and all(
+        inner_product(state, state) == _rc(_CHI_INVERSE[which])
+        for state, which in zip(bent, pattern))
 
 
 def check_xi_constants() -> bool:

@@ -292,6 +292,9 @@ class RationalFunction:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
+        # a constant equals its Fraction, so it must hash like one
+        if self.is_constant():
+            return hash(self.as_fraction())
         return hash((self.num, self.den))
 
     def __repr__(self):
@@ -584,6 +587,9 @@ class RadicalCoefficient:
         return self.terms == other.terms
 
     def __hash__(self):
+        # a rational coefficient equals its rational part, so hashes like it
+        if self.is_rational():
+            return hash(self.rational_part())
         return hash(frozenset(self.terms.items()))
 
     def __repr__(self):

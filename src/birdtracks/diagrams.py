@@ -20,6 +20,7 @@ yields (13).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -28,7 +29,14 @@ from typing import Iterable, Mapping
 from .coefficients import (
     RadicalCoefficient,
     RationalFunction,
+    _ONE,
+    _RF_ONE,
+    _UNIT_KEY,
     _as_radical,
+    _p_divmod,
+    _p_gcd,
+    _p_mul,
+    _trim,
 )
 from .errors import (
     MixedRoleTensor,
@@ -192,9 +200,13 @@ def _n_power(k: int) -> RationalFunction:
 
 
 class InvariantElement:
-    """A finite linear combination of primitive diagrams on one signature."""
+    """A finite linear combination of primitive diagrams on one signature.
 
-    __slots__ = ("sig", "terms")
+    Kets also carry their Gram form (see _gram_form), built on the first
+    inner product; equality, hashing and JSON ignore it.
+    """
+
+    __slots__ = ("sig", "terms", "_gram")
 
     def __init__(self, sig: Signature,
                  terms: Mapping[PrimitiveDiagram, RadicalCoefficient] | None = None):
@@ -208,6 +220,7 @@ class InvariantElement:
                     cleaned[diag] = coeff
         object.__setattr__(self, "sig", sig)
         object.__setattr__(self, "terms", cleaned)
+        object.__setattr__(self, "_gram", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("InvariantElement is immutable")
@@ -604,32 +617,108 @@ def _glue_op_ket(ma, mb, k: int):
 def inner_product(a: InvariantElement, b: InvariantElement) -> RadicalCoefficient:
     """<a|b>: Tr(a^dagger b) for operators, full leg gluing for kets.
 
-    Coefficients are real, so conjugation is the identity on them.
+    Coefficients are real, so conjugation is the identity on them.  Gluing
+    ket diagram sigma onto ket diagram tau closes c(sigma^-1 tau) loops,
+    the cycle count of sigma^-1 tau, so <sigma|tau> = N^c(sigma^-1 tau).
+    Each ket is paired through its Gram form: per radicand r, the
+    multiplier of sqrt(r) on diagram sigma is s * P_sigma / D, with one
+    rational scale s, one integer polynomial D shared by the whole ket and
+    integer polynomials P_sigma.  Then
+
+        <a|b> = sum_{r1, r2} sqrt(r1) sqrt(r2) s_a s_b
+                  [sum_sigma P_sigma sum_tau Q_tau N^c(sigma^-1 tau)]
+                  / (D_a D_b)
+
+    with the bracket summed in integers and reduced once per radicand pair.
     """
     if a.sig != b.sig:
         raise SignatureMismatch(f"{a.sig} vs {b.sig}")
     if a.sig.is_operator():
         return compose(a.dagger(), b).trace()
     total = RadicalCoefficient.zero()
-    b_items = [(diag.matching(), coeff) for diag, coeff in b.terms.items()]
-    n = a.sig.n_slots
-    for da, ca in a.terms.items():
-        ma = da.matching()
-        for mb, cb in b_items:
+    b_form = _gram_form(b)
+    for key_a, scale_a, den_a, rows_a in _gram_form(a):
+        for key_b, scale_b, den_b, rows_b in b_form:
+            bracket = _pair_rows(rows_a, rows_b)
+            if not bracket:
+                continue
+            scale = scale_a * scale_b
+            mult = RationalFunction(
+                tuple(scale * c for c in bracket),
+                tuple(Fraction(c) for c in _int_poly_mul(den_a, den_b)))
+            term = RadicalCoefficient({key_a: mult})
+            if key_b != _UNIT_KEY:
+                term = term * RadicalCoefficient({key_b: _RF_ONE})
+            total = total + term
+    return total
+
+
+def _gram_form(ket: InvariantElement):
+    """The ket's terms split by radicand, each over one common denominator.
+
+    A list of (radicand, scale, den, rows), rows holding one
+    (perm, inverse perm, num) per diagram: the multiplier of sqrt(radicand)
+    on that diagram is scale * num / den, with num and den integer
+    coefficient lists, lowest degree first.  Built once and kept on the ket.
+    """
+    form = ket._gram
+    if form is not None:
+        return form
+    by_key: dict = {}
+    for diag, coeff in ket.terms.items():
+        for key, mult in coeff.terms.items():
+            by_key.setdefault(key, []).append((diag.perm, mult))
+    form = []
+    for key, items in by_key.items():
+        den = _ONE
+        for _, mult in items:
+            den = _p_mul(den, _p_divmod(mult.den, _p_gcd(den, mult.den))[0])
+        nums = [_p_mul(mult.num, _p_divmod(den, mult.den)[0])
+                for _, mult in items]
+        num_lcm = math.lcm(*(c.denominator for num in nums for c in num))
+        den_lcm = math.lcm(*(c.denominator for c in den))
+        rows = [(perm, _perm_inverse(perm), [int(c * num_lcm) for c in num])
+                for (perm, _), num in zip(items, nums)]
+        form.append((key, Fraction(den_lcm, num_lcm),
+                     [int(c * den_lcm) for c in den], rows))
+    object.__setattr__(ket, "_gram", form)
+    return form
+
+
+def _pair_rows(rows_a, rows_b) -> tuple[int, ...]:
+    """sum_sigma P_sigma sum_tau Q_tau N^c(sigma^-1 tau), trimmed, in ints."""
+    n = len(rows_a[0][0])
+    len_q = max(len(q) for _, _, q in rows_b)
+    out = [0] * (max(len(p) for _, _, p in rows_a) + len_q + n - 1)
+    for _, inv_sigma, p in rows_a:
+        inner = [0] * (len_q + n)
+        for tau, _, q in rows_b:
+            # cycles of sigma^-1 tau
             loops = 0
             seen = [False] * n
             for start in range(n):
                 if seen[start]:
                     continue
                 loops += 1
-                cur = start
-                while not seen[cur]:
-                    seen[cur] = True
-                    step = ma[cur]
-                    seen[step] = True
-                    cur = mb[step]
-            total = total + ca * cb * _n_power(loops)
-    return total
+                j = start
+                while not seen[j]:
+                    seen[j] = True
+                    j = inv_sigma[tau[j]]
+            for j, c in enumerate(q, loops):
+                inner[j] += c
+        for i, c in enumerate(p):
+            if c:
+                for j, d in enumerate(inner, i):
+                    out[j] += c * d
+    return _trim(out)
+
+
+def _int_poly_mul(a: list[int], b: list[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b, i):
+            out[j] += x * y
+    return out
 
 
 def tensor(a: InvariantElement, b: InvariantElement) -> InvariantElement:
@@ -704,7 +793,10 @@ def parse_cycles(text: str, size: int) -> tuple[int, ...]:
         if not (chunk.startswith("(") and chunk.endswith(")")):
             raise OutOfRange(f"malformed cycle {chunk!r}")
         body = chunk[1:-1].replace(",", " ").split()
-        entries = [int(x) for x in body]
+        try:
+            entries = [int(x) for x in body]
+        except ValueError:
+            raise OutOfRange(f"non-integer cycle entry in {chunk!r}") from None
         if any(e < 1 or e > size for e in entries):
             raise OutOfRange(f"cycle entry outside 1..{size} in {chunk!r}")
         if len(set(entries)) != len(entries) or seen & set(entries):

@@ -155,11 +155,13 @@ def singlet_basis(k: int, source: str = "builtin"):
         return out
     if source == "trace+orthogonalize":
         return normalized_trace_basis(k)
-    raise ValueError(f"unknown source {source!r}")
+    raise OutOfRange(f"unknown source {source!r}")
 
 
 def basis_states(k: int, source: str = "builtin"):
     """The bent kets behind singlet_basis, in the same order."""
+    if source == "trace":
+        return raw_trace_states(k)
     return [op.ket for op in singlet_basis(k, source)]
 
 
@@ -180,11 +182,11 @@ def singlet_table(k: int = 3, source: str = "builtin"):
                     normalization=row_op.normalization,
                     kind=PROJECTOR, labels=(i, i)))
                 continue
-            n_i, n_j = _norm(row_op.ket), _norm(col_op.ket)
-            if n_i.is_zero() or n_j.is_zero():
+            if row_op.is_zero() or col_op.is_zero():
                 weight = RadicalCoefficient.zero()
             else:
-                weight = sqrt(((1 / n_i) * (1 / n_j)).rational_part())
+                weight = sqrt((row_op.normalization
+                               * col_op.normalization).rational_part())
             row.append(SingletOperator(ket=row_op.ket, bra=col_op.ket,
                                        normalization=weight,
                                        kind=TRANSITION, labels=(i, j)))
@@ -193,8 +195,16 @@ def singlet_table(k: int = 3, source: str = "builtin"):
 
 
 def gram_matrix(states):
-    """Matrix of pairwise inner products <i|j> of a shared-signature family."""
-    return [[inner_product(a, b) for b in states] for a in states]
+    """Matrix of pairwise inner products <i|j> of a shared-signature family.
+
+    Coefficients are real, so <j|i> = <i|j> and only the upper triangle is
+    computed.
+    """
+    gram = [[None] * len(states) for _ in states]
+    for i, a in enumerate(states):
+        for j in range(i, len(states)):
+            gram[i][j] = gram[j][i] = inner_product(a, states[j])
+    return gram
 
 
 def is_dimensionally_null(state: InvariantElement, n: int) -> bool:

@@ -1,4 +1,7 @@
+import hashlib
 import json
+
+import pytest
 
 from birdtracks.cli import main
 
@@ -185,3 +188,15 @@ def test_basis_latex_coefficient_rows(capsys):
     assert code == 0
     assert "cycles & coefficient" in out
     assert "$(1 2)$" in out
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (("trace-basis", "--k", "4", "--normalized"),
+     "bd8024bb712352f458b245de53e247df4e45f1f213c6d8076c83781c9429fcbb"),
+    (("singlets", "--k", "3", "--source", "builtin"),
+     "6eb95b9bb1a3c6fd79505db89bbb5f0a61c27717bea179c3db8cfa220ab5fd22"),
+])
+def test_json_output_bytes_are_pinned(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

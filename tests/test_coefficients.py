@@ -155,3 +155,14 @@ def test_json_round_trip():
     assert again == c
     r = rf([1, -2, 1], [0, 3])
     assert RationalFunction.from_json(r.to_json()) == r
+
+
+def test_equal_values_hash_equal():
+    # constants compare equal to ints and Fractions, so dict lookups by the
+    # plain number must find them
+    assert {rf([2]): 0}.get(2) == 0
+    assert {rf([1], [2]): 0}.get(Fraction(1, 2)) == 0
+    assert {RadicalCoefficient.from_rational(2): 0}.get(2) == 0
+    assert {RadicalCoefficient.from_rational(N): 0}.get(N) == 0
+    assert {RadicalCoefficient.zero(): 0}.get(0) == 0
+    assert hash(sqrt(4)) == hash(2)

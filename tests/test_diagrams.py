@@ -2,7 +2,10 @@ import random
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from birdtracks.coefficients import N, ONE, RadicalCoefficient, rf, sqrt
 from birdtracks.diagrams import (
@@ -21,11 +24,15 @@ from birdtracks.diagrams import (
     zero,
 )
 from birdtracks.errors import (
+    BirdtrackError,
     MixedRoleTensor,
     OrientationViolation,
     OutOfRange,
     SignatureMismatch,
 )
+from birdtracks.numeric import evaluate_float
+from birdtracks.symmetrizers import builtin_orthogonal_basis
+from birdtracks.tracebasis import normalized_trace_basis, raw_trace_states
 
 
 def perm_op(orients, text):
@@ -62,6 +69,8 @@ def test_cycle_parser_rejects_garbage():
         parse_cycles("(1 5)", 3)
     with pytest.raises(OutOfRange):
         parse_cycles("(1 2)(2 3)", 3)
+    with pytest.raises(BirdtrackError):
+        parse_cycles("(1 a)", 2)
 
 
 def test_compose_matches_permutation_product_on_fundamentals():
@@ -316,3 +325,92 @@ def test_signature_validation():
 def test_operator_signature_helper():
     assert operator_signature(2, 1).orientations == "qqb"
     assert ket_signature(1, 1).role == "ket"
+
+
+# -- ket inner product against the term-pair walk ----------------------------
+
+def reference_inner_product(a, b):
+    """<a|b> for kets, one glued diagram pair at a time."""
+    total = RadicalCoefficient.zero()
+    b_items = [(diag.matching(), coeff) for diag, coeff in b.terms.items()]
+    n = a.sig.n_slots
+    for da, ca in a.terms.items():
+        ma = da.matching()
+        for mb, cb in b_items:
+            loops = 0
+            seen = [False] * n
+            for start in range(n):
+                if seen[start]:
+                    continue
+                loops += 1
+                cur = start
+                while not seen[cur]:
+                    seen[cur] = True
+                    step = ma[cur]
+                    seen[step] = True
+                    cur = mb[step]
+            total = total + ca * cb * N ** loops
+    return total
+
+
+@pytest.mark.parametrize("family", ["raw trace k=3", "bent builtin k=3"])
+def test_ket_inner_product_matches_term_pair_walk(family):
+    if family == "raw trace k=3":
+        kets = raw_trace_states(3)
+    else:   # the transition elements carry sqrt(4/3)
+        kets = [op.bend() for op in builtin_orthogonal_basis(3)]
+    for a in kets:
+        for b in kets:
+            got = inner_product(a, b)
+            assert got == reference_inner_product(a, b)
+            assert got == inner_product(b, a)
+
+
+def test_normalized_k4_inner_products_match_term_pair_walk():
+    kets = [op.ket for op in normalized_trace_basis(4)]
+    # the walk is slow on these dense kets, so take a spread of pairs
+    picked = (0, 11, 23)
+    for i in picked:
+        for j in picked:
+            got = inner_product(kets[i], kets[j])
+            assert got == reference_inner_product(kets[i], kets[j])
+            assert got == inner_product(kets[j], kets[i])
+            assert got.is_zero() == (i != j)
+
+
+_RADICALS = (ONE, sqrt(2), sqrt(Fraction(4, 3)), sqrt(rf([0, 1])),
+             sqrt(rf([1, 1])), sqrt(rf([-1, 0, 1])))
+
+
+@st.composite
+def mixed_radical_kets(draw):
+    """Two random kets on Mixed(k, k), k <= 3, with mixed radicands."""
+    k = draw(st.integers(1, 3))
+    sig = ket_signature(k, k)
+    perms = st.permutations(range(k)).map(tuple)
+    coeff = st.tuples(
+        st.lists(st.integers(-3, 3), min_size=1, max_size=3),
+        st.sampled_from(([1], [0, 1], [1, 1], [-1, 1], [2, 0, 1])),
+        st.sampled_from(_RADICALS))
+
+    def ket():
+        terms = draw(st.lists(st.tuples(perms, coeff), max_size=6))
+        out = zero(sig)
+        for perm, (num, den, root) in terms:
+            out = out + InvariantElement.from_perm(
+                sig, perm, root * rf(num, den))
+        return out
+
+    return ket(), ket()
+
+
+@settings(max_examples=25, deadline=None)
+@given(mixed_radical_kets())
+def test_ket_inner_product_random_mixed_radicands(pair):
+    a, b = pair
+    got = inner_product(a, b)
+    assert got == reference_inner_product(a, b)
+    assert got == inner_product(b, a)
+    for n in (2, 3, 4):
+        dense = np.vdot(evaluate_float(a, n), evaluate_float(b, n)).real
+        assert got.eval_float(n) == pytest.approx(dense, rel=1e-9, abs=1e-9)

@@ -11,7 +11,7 @@ from birdtracks.diagrams import (
     operator_signature,
     zero,
 )
-from birdtracks.errors import OutOfRange, UnsupportedK
+from birdtracks.errors import BirdtrackError, OutOfRange, UnsupportedK
 from birdtracks.numeric import apply_per_leg, evaluate, sample_special_unitary
 from birdtracks.singlets import (
     SingletOperator,
@@ -48,6 +48,8 @@ def test_builtin_basis_normalizations():
     with pytest.raises(UnsupportedK):
         singlet_basis(4, "builtin")
     with pytest.raises(ValueError):
+        singlet_basis(2, "mystery")
+    with pytest.raises(BirdtrackError):
         singlet_basis(2, "mystery")
 
 
