@@ -25,6 +25,7 @@ from .epsilon import (
     shape_dimension,
     verify_baryon_equivalence,
 )
+from .errors import OutOfRange
 from .numeric import (
     apply_per_leg,
     evaluate,
@@ -254,7 +255,7 @@ def run_checks(names=None) -> list[tuple[str, bool]]:
     if names:
         missing = [name for name in names if name not in known]
         if missing:
-            raise KeyError(f"unknown checks: {', '.join(missing)}")
+            raise OutOfRange(f"unknown checks: {', '.join(missing)}")
         selected = [(name, known[name]) for name in names]
     else:
         selected = list(CHECKS)

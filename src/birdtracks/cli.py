@@ -171,27 +171,19 @@ def _rad_latex(rc: RadicalCoefficient) -> str:
     return " + ".join(pieces)
 
 
-def _eval_latex(values: dict[int, Fraction]) -> str:
+def _eval_str(values: dict[int, Fraction], latex: bool = False) -> str:
+    """An evaluated coefficient {radicand: rational} as text or LaTeX."""
     if not values:
         return "0"
     pieces = []
     for d in sorted(values):
+        value = _frac_latex(values[d]) if latex else str(values[d])
         if d == 1:
-            pieces.append(_frac_latex(values[d]))
+            pieces.append(value)
+        elif latex:
+            pieces.append(f"{value} \\sqrt{{{d}}}")
         else:
-            pieces.append(f"{_frac_latex(values[d])} \\sqrt{{{d}}}")
-    return " + ".join(pieces)
-
-
-def _eval_text(values: dict[int, Fraction]) -> str:
-    if not values:
-        return "0"
-    pieces = []
-    for d in sorted(values):
-        if d == 1:
-            pieces.append(str(values[d]))
-        else:
-            pieces.append(f"{values[d]}*sqrt({d})")
+            pieces.append(f"{value}*sqrt({d})")
     return " + ".join(pieces)
 
 
@@ -204,7 +196,7 @@ def _value_json(rc: RadicalCoefficient, at: int | None):
 def _value_text(rc: RadicalCoefficient, at: int | None) -> str:
     if at is None:
         return repr(rc)
-    return _eval_text(rc.eval_at(at))
+    return _eval_str(rc.eval_at(at))
 
 
 def _element_rows(element):
@@ -222,6 +214,24 @@ def _coefficient_table(element, caption: str) -> list[str]:
     return lines
 
 
+def _state_listing(states, labels, label_key: str):
+    """JSON records, text and LaTeX lines listing states with their norms.
+
+    label_key names the label's field in the JSON records.
+    """
+    records, text, latex = [], [], []
+    for i, (label, state) in enumerate(zip(labels, states)):
+        norm = inner_product(state, state)
+        records.append({"index": i, label_key: label,
+                        "squared_norm": norm.to_json(),
+                        "element": state.to_json()})
+        text.append(f"state {i} [{label}]: squared norm {norm!r}")
+        text.append(f"  {state!r}")
+        latex.extend(_coefficient_table(state, f"state {i} [{label}]"))
+        latex.append(f"$\\langle {i}|{i}\\rangle = {_rad_latex(norm)}$")
+    return records, text, latex
+
+
 # -- commands -----------------------------------------------------------------
 
 
@@ -231,20 +241,10 @@ def _cmd_basis(cfg: CommandConfig):
     states = basis_states(k, source)
     labels = ([d.to_text() for d in all_decompositions(k)]
               if source == "trace" else [str(i) for i in range(len(states))])
-    records = []
-    text = [f"singlet basis for k={k}, source={source}: "
-            f"{len(states)} state(s)"]
-    latex = [f"% singlet basis, k={k}, source={source}"]
-    for i, state in enumerate(states):
-        norm = inner_product(state, state)
-        record = {"index": i, "label": labels[i],
-                  "squared_norm": norm.to_json(),
-                  "element": state.to_json()}
-        records.append(record)
-        text.append(f"state {i} [{labels[i]}]: squared norm {norm!r}")
-        text.append(f"  {state!r}")
-        latex.extend(_coefficient_table(state, f"state {i} [{labels[i]}]"))
-        latex.append(f"$\\langle {i}|{i}\\rangle = {_rad_latex(norm)}$")
+    records, text, latex = _state_listing(states, labels, "label")
+    text.insert(0, f"singlet basis for k={k}, source={source}: "
+                   f"{len(states)} state(s)")
+    latex.insert(0, f"% singlet basis, k={k}, source={source}")
     payload = {"schema": SCHEMA, "command": "basis", "k": k,
                "source": source, "count": len(states), "states": records}
     return payload, text, latex, None
@@ -268,7 +268,7 @@ def _cmd_gram(cfg: CommandConfig):
                     + "]")
     latex = ["\\begin{pmatrix}"]
     for row in gram:
-        cells = (_eval_latex(e.eval_at(cfg.N)) if cfg.N is not None
+        cells = (_eval_str(e.eval_at(cfg.N), latex=True) if cfg.N is not None
                  else _rad_latex(e) for e in row)
         latex.append(" & ".join(cells) + " \\\\")
     latex.append("\\end{pmatrix}")
@@ -325,20 +325,11 @@ def _cmd_trace_basis(cfg: CommandConfig):
             latex.append(f"$\\beta_{{{i}}} = "
                          f"{_rad_latex(op.normalization)}$")
         return payload, text, latex, None
-    decs = all_decompositions(k)
     states = raw_trace_states(k)
-    records = []
-    text = [f"raw trace basis for k={k}: {len(states)} state(s)"]
-    latex = [f"% raw trace basis, k={k}"]
-    for i, (dec, state) in enumerate(zip(decs, states)):
-        norm = inner_product(state, state)
-        records.append({"index": i, "cycles": dec.to_text(),
-                        "squared_norm": norm.to_json(),
-                        "element": state.to_json()})
-        text.append(f"state {i} [{dec.to_text()}]: squared norm {norm!r}")
-        text.append(f"  {state!r}")
-        latex.extend(_coefficient_table(state, f"state {i} [{dec.to_text()}]"))
-        latex.append(f"$\\langle {i}|{i}\\rangle = {_rad_latex(norm)}$")
+    records, text, latex = _state_listing(
+        states, [d.to_text() for d in all_decompositions(k)], "cycles")
+    text.insert(0, f"raw trace basis for k={k}: {len(states)} state(s)")
+    latex.insert(0, f"% raw trace basis, k={k}")
     payload = {"schema": SCHEMA, "command": "trace-basis", "k": k,
                "normalized": False, "states": records}
     return payload, text, latex, None

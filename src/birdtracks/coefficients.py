@@ -23,6 +23,7 @@ from typing import Iterable, Mapping
 
 from .errors import (
     DivisionByZero,
+    OutOfRange,
     PoleAtN,
     RadicalComparisonUnsupported,
     UnsupportedRadicalDivision,
@@ -396,7 +397,8 @@ def _canonical_sqrt(p: Poly) -> tuple[RationalFunction, RadicandKey]:
     """
     lead = p[-1]
     if lead < 0:
-        raise ZeroRadicand(f"negative leading coefficient in radicand {_poly_str(p)}")
+        raise OutOfRange(
+            f"negative leading coefficient in radicand {_poly_str(p)}")
     monic = _p_scale(p, 1 / lead)
     s_poly, r_poly = _squarefree_split(monic)
     # rational content: lead times the content needed to make r_poly integral

@@ -20,11 +20,12 @@ yields (13).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .coefficients import (
     RadicalCoefficient,
@@ -172,18 +173,29 @@ def _matching_to_op_perm(orients: str, pairs: Mapping[int, int]) -> tuple[int, .
     return tuple(perm)
 
 
-def _cycle_count(perm: tuple[int, ...]) -> int:
+def _cycles(perm: Sequence[int]) -> list[list[int]]:
+    """Disjoint cycles of a 0-based permutation, fixed points included.
+
+    Each cycle starts at its smallest entry, in order of those entries.
+    """
     seen = [False] * len(perm)
-    count = 0
+    out = []
     for start in range(len(perm)):
         if seen[start]:
             continue
-        count += 1
+        cycle = []
         j = start
         while not seen[j]:
             seen[j] = True
+            cycle.append(j)
             j = perm[j]
-    return count
+        out.append(cycle)
+    return out
+
+
+def _perm_sign(perm: Sequence[int]) -> int:
+    """Sign of a 0-based permutation: (-1)^(size - number of cycles)."""
+    return -1 if (len(perm) - len(_cycles(perm))) % 2 else 1
 
 
 def _perm_inverse(perm: tuple[int, ...]) -> tuple[int, ...]:
@@ -244,11 +256,8 @@ class InvariantElement:
     def __add__(self, other: "InvariantElement") -> "InvariantElement":
         if self.sig != other.sig:
             raise SignatureMismatch(f"{self.sig} + {other.sig}")
-        merged = dict(self.terms)
-        for diag, coeff in other.terms.items():
-            cur = merged.get(diag)
-            merged[diag] = coeff if cur is None else cur + coeff
-        return InvariantElement(self.sig, merged)
+        return _collect(self.sig, itertools.chain(self.terms.items(),
+                                                  other.terms.items()))
 
     def __sub__(self, other):
         return self + (-other)
@@ -306,7 +315,7 @@ class InvariantElement:
             raise SignatureMismatch("trace is defined on operators")
         total = RadicalCoefficient.zero()
         for diag, coeff in self.terms.items():
-            total = total + coeff * _n_power(_cycle_count(diag.perm))
+            total = total + coeff * _n_power(len(_cycles(diag.perm)))
         return total
 
     def partial_trace(self, levels: Iterable[int]) -> "InvariantElement":
@@ -322,7 +331,7 @@ class InvariantElement:
                             OPERATOR)
         new_of_old = {a: i for i, a in enumerate(keep)}
         glue = set(glued)
-        out: dict[PrimitiveDiagram, RadicalCoefficient] = {}
+        out = []
         for diag, coeff in self.terms.items():
             pairs = diag.matching()
             # walk from each kept endpoint; hop L<->R across glued levels
@@ -342,11 +351,9 @@ class InvariantElement:
                 f2 = new_of_old[f % k] + (0 if f < k else len(keep))
                 reduced[e2] = f2
             perm = _matching_to_op_perm(new_sig.orientations, reduced)
-            new_diag = PrimitiveDiagram(new_sig, perm)
-            term = coeff * _n_power(loops)
-            cur = out.get(new_diag)
-            out[new_diag] = term if cur is None else cur + term
-        return InvariantElement(new_sig, out)
+            out.append((PrimitiveDiagram(new_sig, perm),
+                        coeff * _n_power(loops)))
+        return _collect(new_sig, out)
 
     def bend(self) -> "InvariantElement":
         """Reshape an operator into a ket on Mixed(k, k), k = m + n.
@@ -388,19 +395,15 @@ class InvariantElement:
         new_orients = "".join(self.sig.orientations[o] for o in order)
         new_sig = Signature(new_orients, self.sig.role)
         pos = {old: new for new, old in enumerate(order)}
-        out = {}
+        out = []
         for diag, coeff in self.terms.items():
-            pairs = diag.matching()
             if self.sig.is_operator():
                 perm = tuple(pos[diag.perm[order[j]]] for j in range(n))
-                new_diag = PrimitiveDiagram(new_sig, perm)
             else:
-                moved = {pos[a]: pos[b] for a, b in pairs.items()}
-                new_diag = PrimitiveDiagram(
-                    new_sig, _matching_to_ket_perm(new_orients, moved))
-            cur = out.get(new_diag)
-            out[new_diag] = coeff if cur is None else cur + coeff
-        return InvariantElement(new_sig, out)
+                moved = {pos[a]: pos[b] for a, b in diag.matching().items()}
+                perm = _matching_to_ket_perm(new_orients, moved)
+            out.append((PrimitiveDiagram(new_sig, perm), coeff))
+        return _collect(new_sig, out)
 
     # -- serialization --------------------------------------------------------
 
@@ -419,6 +422,15 @@ class InvariantElement:
             diag = PrimitiveDiagram(sig, tuple(p - 1 for p in row["perm"]))
             terms[diag] = RadicalCoefficient.from_json(row["coeff"])
         return cls(sig, terms)
+
+
+def _collect(sig: Signature, pairs) -> InvariantElement:
+    """The element on sig summing (diagram, coefficient) pairs."""
+    out: dict[PrimitiveDiagram, RadicalCoefficient] = {}
+    for diag, coeff in pairs:
+        cur = out.get(diag)
+        out[diag] = coeff if cur is None else cur + coeff
+    return InvariantElement(sig, out)
 
 
 def _count_loops_within(pairs: Mapping[int, int], k: int,
@@ -484,26 +496,21 @@ def compose(a: InvariantElement, b: InvariantElement) -> InvariantElement:
     if a.sig.orientations != b.sig.orientations:
         raise SignatureMismatch(
             f"{a.sig.orientations!r} cannot act on {b.sig.orientations!r}")
-    if b.sig.is_operator():
-        return _compose_ops(a, b)
-    return _apply_to_ket(a, b)
-
-
-def _compose_ops(a: InvariantElement, b: InvariantElement) -> InvariantElement:
     orients = a.sig.orientations
     k = len(orients)
-    sig = a.sig
-    out: dict[PrimitiveDiagram, RadicalCoefficient] = {}
+    glue = _glue_operator_pair if b.sig.is_operator() else _glue_op_ket
     b_items = [(diag.matching(), coeff) for diag, coeff in b.terms.items()]
-    for da, ca in a.terms.items():
-        ma = da.matching()
-        for mb, cb in b_items:
-            perm, loops = _glue_operator_pair(ma, mb, orients, k)
-            diag = PrimitiveDiagram(sig, perm)
-            term = ca * cb * _n_power(loops) if loops else ca * cb
-            cur = out.get(diag)
-            out[diag] = term if cur is None else cur + term
-    return InvariantElement(sig, out)
+
+    def terms():
+        for da, ca in a.terms.items():
+            ma = da.matching()
+            for mb, cb in b_items:
+                perm, loops = glue(ma, mb, orients, k)
+                term = ca * cb * _n_power(loops) if loops else ca * cb
+                yield PrimitiveDiagram(b.sig, perm), term
+
+    # an operator b has a's signature; a ket b keeps its own
+    return _collect(b.sig, terms())
 
 
 def _glue_operator_pair(ma, mb, orients: str, k: int):
@@ -563,26 +570,12 @@ def _glue_operator_pair(ma, mb, orients: str, k: int):
     return perm, loops
 
 
-def _apply_to_ket(a: InvariantElement, b: InvariantElement) -> InvariantElement:
-    orients = a.sig.orientations
-    k = len(orients)
-    sig = b.sig
-    out: dict[PrimitiveDiagram, RadicalCoefficient] = {}
-    b_items = [(diag.matching(), coeff) for diag, coeff in b.terms.items()]
-    for da, ca in a.terms.items():
-        ma = da.matching()
-        for mb, cb in b_items:
-            pairs, loops = _glue_op_ket(ma, mb, k)
-            perm = _matching_to_ket_perm(orients, pairs)
-            diag = PrimitiveDiagram(sig, perm)
-            term = ca * cb * _n_power(loops) if loops else ca * cb
-            cur = out.get(diag)
-            out[diag] = term if cur is None else cur + term
-    return InvariantElement(sig, out)
+def _glue_op_ket(ma, mb, orients: str, k: int):
+    """Glue operator right endpoints to ket legs.
 
-
-def _glue_op_ket(ma, mb, k: int):
-    """Glue operator right endpoints to ket legs; result matches left side."""
+    The result's legs are the operator's left endpoints.  Returns (result
+    ket perm, closed loop count).
+    """
     new_pairs = {}
     visited = set()
     for start in range(k):
@@ -611,7 +604,7 @@ def _glue_op_ket(ma, mb, k: int):
             if follow < k:
                 raise AssertionError("loop escaped to outer endpoint")
             cur = follow - k
-    return new_pairs, loops
+    return _matching_to_ket_perm(orients, new_pairs), loops
 
 
 def inner_product(a: InvariantElement, b: InvariantElement) -> RadicalCoefficient:
@@ -725,28 +718,13 @@ def tensor(a: InvariantElement, b: InvariantElement) -> InvariantElement:
     """Place b's slots after a's; no lines are glued."""
     if a.sig.role != b.sig.role:
         raise MixedRoleTensor(f"{a.sig.role} (x) {b.sig.role}")
-    orients = a.sig.orientations + b.sig.orientations
-    sig = Signature(orients, a.sig.role)
-    out = {}
-    if a.sig.is_operator():
-        ka = a.sig.n_slots
-        for da, ca in a.terms.items():
-            for db, cb in b.terms.items():
-                perm = da.perm + tuple(p + ka for p in db.perm)
-                diag = PrimitiveDiagram(sig, perm)
-                coeff = ca * cb
-                cur = out.get(diag)
-                out[diag] = coeff if cur is None else cur + coeff
-    else:
-        fa = a.sig.n_fund
-        for da, ca in a.terms.items():
-            for db, cb in b.terms.items():
-                perm = da.perm + tuple(p + fa for p in db.perm)
-                diag = PrimitiveDiagram(sig, perm)
-                coeff = ca * cb
-                cur = out.get(diag)
-                out[diag] = coeff if cur is None else cur + coeff
-    return InvariantElement(sig, out)
+    sig = Signature(a.sig.orientations + b.sig.orientations, a.sig.role)
+    # b's entries count past a's levels (operators) or fundamental legs (kets)
+    offset = a.sig.n_slots if a.sig.is_operator() else a.sig.n_fund
+    return _collect(sig, (
+        (PrimitiveDiagram(sig, da.perm + tuple(p + offset for p in db.perm)),
+         ca * cb)
+        for da, ca in a.terms.items() for db, cb in b.terms.items()))
 
 
 def ketbra(ket: InvariantElement, bra_ket: InvariantElement) -> InvariantElement:
@@ -755,23 +733,48 @@ def ketbra(ket: InvariantElement, bra_ket: InvariantElement) -> InvariantElement
         raise SignatureMismatch("ketbra needs two kets on one signature")
     orients = ket.sig.orientations
     sig = Signature(orients, OPERATOR)
-    out = {}
-    for du, cu in ket.terms.items():
-        mu = du.matching()
-        for dv, cv in bra_ket.terms.items():
-            mv = dv.matching()
-            perm = tuple(mv[a] if o == FUND else mu[a]
-                         for a, o in enumerate(orients))
-            diag = PrimitiveDiagram(sig, perm)
-            coeff = cu * cv
-            cur = out.get(diag)
-            out[diag] = coeff if cur is None else cur + coeff
-    return InvariantElement(sig, out)
+    bra_items = [(dv.matching(), cv) for dv, cv in bra_ket.terms.items()]
+
+    def terms():
+        for du, cu in ket.terms.items():
+            mu = du.matching()
+            for mv, cv in bra_items:
+                perm = tuple(mv[a] if o == FUND else mu[a]
+                             for a, o in enumerate(orients))
+                yield PrimitiveDiagram(sig, perm), cu * cv
+
+    return _collect(sig, terms())
 
 
 # ---------------------------------------------------------------------------
 # Cycle-notation text I/O (1-based)
 # ---------------------------------------------------------------------------
+
+def _cycle_entries(text: str, error: type[Exception]) -> list[tuple[int, ...]]:
+    """The integer entries of each cycle in cycle notation like "(1 2)(3)".
+
+    "e", "id", "()" and "" denote the identity and give no cycles.  Commas
+    are accepted as separators inside a cycle.  Malformed text raises error.
+    """
+    text = text.strip()
+    if text in ("e", "id", "()", ""):
+        return []
+    if text.count("(") != text.count(")") or not text.startswith("("):
+        raise error(f"malformed cycle notation {text!r}")
+    cycles = []
+    for chunk in text.replace(")", ")\n").split("\n"):
+        chunk = chunk.strip()
+        if not chunk:
+            continue
+        if not (chunk.startswith("(") and chunk.endswith(")")):
+            raise error(f"malformed cycle {chunk!r}")
+        body = chunk[1:-1].replace(",", " ").split()
+        try:
+            cycles.append(tuple(int(x) for x in body))
+        except ValueError:
+            raise error(f"non-integer cycle entry in {chunk!r}") from None
+    return cycles
+
 
 def parse_cycles(text: str, size: int) -> tuple[int, ...]:
     """Parse disjoint cycle notation like "(1 2 3)(4)" into a 0-based perm.
@@ -779,26 +782,11 @@ def parse_cycles(text: str, size: int) -> tuple[int, ...]:
     "e", "id" and "()" all denote the identity.  Commas are accepted as
     separators inside a cycle.
     """
-    text = text.strip()
     perm = list(range(size))
-    if text in ("e", "id", "()", ""):
-        return tuple(perm)
-    if text.count("(") != text.count(")") or not text.startswith("("):
-        raise OutOfRange(f"malformed cycle notation {text!r}")
     seen = set()
-    for chunk in text.replace(")", ")\n").split("\n"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        if not (chunk.startswith("(") and chunk.endswith(")")):
-            raise OutOfRange(f"malformed cycle {chunk!r}")
-        body = chunk[1:-1].replace(",", " ").split()
-        try:
-            entries = [int(x) for x in body]
-        except ValueError:
-            raise OutOfRange(f"non-integer cycle entry in {chunk!r}") from None
+    for entries in _cycle_entries(text, OutOfRange):
         if any(e < 1 or e > size for e in entries):
-            raise OutOfRange(f"cycle entry outside 1..{size} in {chunk!r}")
+            raise OutOfRange(f"cycle entry outside 1..{size} in {text!r}")
         if len(set(entries)) != len(entries) or seen & set(entries):
             raise OutOfRange(f"repeated entry in {text!r}")
         seen |= set(entries)
@@ -809,18 +797,5 @@ def parse_cycles(text: str, size: int) -> tuple[int, ...]:
 
 def format_cycles(perm: tuple[int, ...]) -> str:
     """Format a 0-based permutation in 1-based disjoint cycle notation."""
-    out = []
-    seen = set()
-    for start in range(len(perm)):
-        if start in seen or perm[start] == start:
-            seen.add(start)
-            continue
-        cyc = [start]
-        seen.add(start)
-        j = perm[start]
-        while j != start:
-            cyc.append(j)
-            seen.add(j)
-            j = perm[j]
-        out.append("(" + " ".join(str(x + 1) for x in cyc) + ")")
-    return "".join(out) if out else "e"
+    return "".join("(" + " ".join(str(x + 1) for x in cycle) + ")"
+                   for cycle in _cycles(perm) if len(cycle) > 1) or "e"

@@ -19,6 +19,7 @@ import numpy as np
 
 from .coefficients import rf
 from .diagrams import (
+    _perm_sign,
     compose,
     identity,
     inner_product,
@@ -183,23 +184,6 @@ def transient_singlet_params(m: int, n: int,
         alpha = (a + b) * (n_param - 1) + k
         out.append(TransientParams(a, b, k, alpha))
     return out
-
-
-def _perm_sign(perm) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
 
 
 def epsilon_tensor(n_param: int) -> ExactTensor:

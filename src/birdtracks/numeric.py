@@ -9,6 +9,7 @@ under U applied to every leg this way.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -16,7 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .diagrams import FUND, InvariantElement
-from .errors import DimensionMismatch, OutOfRange, RadicalComparisonUnsupported
+from .errors import DimensionMismatch, OutOfRange
 
 DENSE_CAP = 10 ** 6
 
@@ -113,16 +114,6 @@ def _flatten(idx: tuple[int, ...], dims: tuple[int, ...]) -> int:
     return flat
 
 
-def _eval_coeff_rational(coeff, n: int) -> Fraction:
-    values = coeff.eval_at(n)
-    for key in values:
-        if key != 1:
-            raise RadicalComparisonUnsupported(
-                "irrational coefficient in exact evaluation; "
-                "compare squared quantities instead")
-    return values.get(1, Fraction(0))
-
-
 def _element_axes(element: InvariantElement) -> int:
     k = element.sig.n_slots
     return 2 * k if element.sig.is_operator() else k
@@ -134,11 +125,16 @@ def _check_cap(n: int, axes: int):
             f"dense realization of {n}^{axes} entries exceeds cap {DENSE_CAP}")
 
 
-def _diagram_strands(diag) -> list[tuple[int, int]]:
+def _diagram_indices(diag, n: int, axes: int):
+    """Every index tuple at which a delta diagram is 1 at N = n."""
     # operator endpoints are already axis labels: left a -> output axis a,
     # right k+a -> input axis k+a; ket legs are their own axes
-    pairs = diag.matching()
-    return [(a, b) for a, b in pairs.items() if a < b]
+    strands = [(a, b) for a, b in diag.matching().items() if a < b]
+    for assign in itertools.product(range(n), repeat=len(strands)):
+        idx = [0] * axes
+        for (a, b), v in zip(strands, assign):
+            idx[a] = idx[b] = v
+        yield tuple(idx)
 
 
 def evaluate(element: InvariantElement, n: int) -> ExactTensor:
@@ -151,19 +147,12 @@ def evaluate(element: InvariantElement, n: int) -> ExactTensor:
         raise OutOfRange(f"need n >= 1, got {n}")
     axes = _element_axes(element)
     _check_cap(n, axes)
-    k = element.sig.n_slots
     entries: dict[tuple[int, ...], Fraction] = {}
     for diag, coeff in element.terms.items():
-        value = _eval_coeff_rational(coeff, n)
+        value = coeff.eval_rational(n)
         if value == 0:
             continue
-        strands = _diagram_strands(diag)
-        for assign in _index_assignments(len(strands), n):
-            idx = [0] * axes
-            for (a, b), v in zip(strands, assign):
-                idx[a] = v
-                idx[b] = v
-            key = tuple(idx)
+        for key in _diagram_indices(diag, n, axes):
             cur = entries.get(key)
             total = value if cur is None else cur + value
             if total:
@@ -171,24 +160,6 @@ def evaluate(element: InvariantElement, n: int) -> ExactTensor:
             elif cur is not None:
                 del entries[key]
     return ExactTensor((n,) * axes, entries=entries)
-
-
-def _index_assignments(strand_count: int, n: int):
-    if strand_count == 0:
-        yield ()
-        return
-    assign = [0] * strand_count
-    while True:
-        yield tuple(assign)
-        pos = strand_count - 1
-        while pos >= 0:
-            assign[pos] += 1
-            if assign[pos] < n:
-                break
-            assign[pos] = 0
-            pos -= 1
-        if pos < 0:
-            return
 
 
 def evaluate_float(element: InvariantElement, n: int) -> np.ndarray:
@@ -202,13 +173,8 @@ def evaluate_float(element: InvariantElement, n: int) -> np.ndarray:
         value = coeff.eval_float(n)
         if value == 0.0:
             continue
-        strands = _diagram_strands(diag)
-        for assign in _index_assignments(len(strands), n):
-            idx = [0] * axes
-            for (a, b), v in zip(strands, assign):
-                idx[a] = v
-                idx[b] = v
-            out[tuple(idx)] += value
+        for idx in _diagram_indices(diag, n, axes):
+            out[idx] += value
     return out
 
 
@@ -336,12 +302,4 @@ def generalized_gell_mann(n: int) -> list[np.ndarray]:
 def state_matrix_rows(states: Iterable[InvariantElement],
                       n: int) -> list[list[Fraction]]:
     """Each state flattened to one exact row vector; rank gives counts."""
-    rows = []
-    for s in states:
-        t = evaluate(s, n)
-        size = math.prod(t.shape) if t.shape else 1
-        row = [Fraction(0)] * size
-        for idx, val in t.entries.items():
-            row[_flatten(idx, t.shape)] = val
-        rows.append(row)
-    return rows
+    return [evaluate(s, n).matrix_rows(0)[0] for s in states]

@@ -11,7 +11,7 @@ without ever expanding, counts how many survive at a given integer N,
 and spots states that are dimensionally null.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .coefficients import RadicalCoefficient, sqrt
 from .diagrams import (
@@ -81,8 +81,13 @@ def singlet_state(operator: InvariantElement) -> InvariantElement:
     return operator.bend()
 
 
-def _norm(ket: InvariantElement) -> RadicalCoefficient:
-    return inner_product(ket, ket)
+def _ket_projector(ket: InvariantElement,
+                   labels: tuple = ()) -> SingletOperator:
+    """The normalized projector onto a ket; zero if the ket's norm is."""
+    norm = inner_product(ket, ket)
+    beta = RadicalCoefficient.zero() if norm.is_zero() else 1 / norm
+    return SingletOperator(ket=ket, bra=ket, normalization=beta,
+                           kind=PROJECTOR, labels=labels)
 
 
 def singlet_projector(operator: InvariantElement,
@@ -91,11 +96,7 @@ def singlet_projector(operator: InvariantElement,
 
     A state with identically zero norm produces the zero operator.
     """
-    ket = operator.bend()
-    norm = _norm(ket)
-    beta = RadicalCoefficient.zero() if norm.is_zero() else 1 / norm
-    return SingletOperator(ket=ket, bra=ket, normalization=beta,
-                           kind=PROJECTOR, labels=labels)
+    return _ket_projector(operator.bend(), labels)
 
 
 def transition_operator(op_from: InvariantElement, op_to: InvariantElement,
@@ -105,15 +106,22 @@ def transition_operator(op_from: InvariantElement, op_to: InvariantElement,
     Maps the bent image of op_to onto the bent image of op_from; zero if
     either state vanishes identically.
     """
-    ket = op_from.bend()
-    bra = op_to.bend()
-    n_ket, n_bra = _norm(ket), _norm(bra)
-    if n_ket.is_zero() or n_bra.is_zero():
+    return _transition(singlet_projector(op_from), singlet_projector(op_to),
+                       labels)
+
+
+def _transition(to: SingletOperator, source: SingletOperator,
+                labels: tuple) -> SingletOperator:
+    """The transition from source's ket to to's ket.
+
+    Its weight is the geometric mean of the two projector normalizations,
+    zero if either is zero.
+    """
+    if to.is_zero() or source.is_zero():
         weight = RadicalCoefficient.zero()
     else:
-        product = (1 / n_ket) * (1 / n_bra)
-        weight = sqrt(product.rational_part())
-    return SingletOperator(ket=ket, bra=bra, normalization=weight,
+        weight = sqrt((to.normalization * source.normalization).rational_part())
+    return SingletOperator(ket=to.ket, bra=source.ket, normalization=weight,
                            kind=TRANSITION, labels=labels)
 
 
@@ -146,13 +154,8 @@ def singlet_basis(k: int, source: str = "builtin"):
         return [singlet_projector(op, labels=(i,))
                 for i, op in enumerate(ops)]
     if source == "trace":
-        out = []
-        for i, ket in enumerate(raw_trace_states(k)):
-            norm = _norm(ket)
-            beta = RadicalCoefficient.zero() if norm.is_zero() else 1 / norm
-            out.append(SingletOperator(ket=ket, bra=ket, normalization=beta,
-                                       kind=PROJECTOR, labels=(i,)))
-        return out
+        return [_ket_projector(ket, labels=(i,))
+                for i, ket in enumerate(raw_trace_states(k))]
     if source == "trace+orthogonalize":
         return normalized_trace_basis(k)
     raise OutOfRange(f"unknown source {source!r}")
@@ -172,26 +175,10 @@ def singlet_table(k: int = 3, source: str = "builtin"):
     from state j to state i otherwise.
     """
     basis = singlet_basis(k, source)
-    table = []
-    for i, row_op in enumerate(basis):
-        row = []
-        for j, col_op in enumerate(basis):
-            if i == j:
-                row.append(SingletOperator(
-                    ket=row_op.ket, bra=row_op.ket,
-                    normalization=row_op.normalization,
-                    kind=PROJECTOR, labels=(i, i)))
-                continue
-            if row_op.is_zero() or col_op.is_zero():
-                weight = RadicalCoefficient.zero()
-            else:
-                weight = sqrt((row_op.normalization
-                               * col_op.normalization).rational_part())
-            row.append(SingletOperator(ket=row_op.ket, bra=col_op.ket,
-                                       normalization=weight,
-                                       kind=TRANSITION, labels=(i, j)))
-        table.append(row)
-    return table
+    return [[replace(row_op, labels=(i, i)) if i == j
+             else _transition(row_op, col_op, (i, j))
+             for j, col_op in enumerate(basis)]
+            for i, row_op in enumerate(basis)]
 
 
 def gram_matrix(states):

@@ -21,6 +21,7 @@ from .coefficients import (
 from .diagrams import (
     InvariantElement,
     Signature,
+    _perm_sign,
     compose,
     identity,
     inner_product,
@@ -125,24 +126,13 @@ def _embedded_sum(slots: Sequence[int], total: int,
     terms = {}
     for image in itertools.permutations(slots):
         perm = list(range(total))
-        sign = 1
         for src, dst in zip(slots, image):
             perm[src - 1] = dst - 1
-        if signed:
-            sign = _permutation_sign(image)
+        sign = _perm_sign(perm) if signed else 1
         el = permutation_element(sig, perm, Fraction(sign) * weight)
         (diag, coeff), = el.terms.items()
         terms[diag] = coeff
     return InvariantElement(sig, terms)
-
-
-def _permutation_sign(seq: Sequence[int]) -> int:
-    sign = 1
-    for i in range(len(seq)):
-        for j in range(i + 1, len(seq)):
-            if seq[i] > seq[j]:
-                sign = -sign
-    return sign
 
 
 def symmetrizer(slots: Iterable[int], total: int) -> InvariantElement:

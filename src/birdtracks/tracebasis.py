@@ -17,8 +17,10 @@ from .coefficients import RadicalCoefficient, RationalFunction, rf
 from .diagrams import (
     InvariantElement,
     PrimitiveDiagram,
+    _collect,
+    _cycle_entries,
+    _cycles,
     identity,
-    inner_product,
     ket_signature,
     operator_signature,
     permutation_element,
@@ -73,25 +75,9 @@ class CycleDecomposition:
 
         Unlisted elements of 1..k become explicit fixed points.
         """
-        text = text.strip()
-        if text in ("e", "id", "()", ""):
-            if k is None:
-                raise InvalidDecomposition("identity shorthand needs k")
-            return cls([], k)
-        if text.count("(") != text.count(")") or not text.startswith("("):
-            raise InvalidDecomposition(f"malformed cycle notation {text!r}")
-        cycles = []
-        for chunk in text.replace(")", ")\n").split("\n"):
-            chunk = chunk.strip()
-            if not chunk:
-                continue
-            if not (chunk.startswith("(") and chunk.endswith(")")):
-                raise InvalidDecomposition(f"malformed cycle {chunk!r}")
-            body = chunk[1:-1].replace(",", " ").split()
-            try:
-                cycles.append(tuple(int(x) for x in body))
-            except ValueError:
-                raise InvalidDecomposition(f"non-integer entry in {chunk!r}")
+        cycles = _cycle_entries(text, InvalidDecomposition)
+        if not cycles and k is None:
+            raise InvalidDecomposition("identity shorthand needs k")
         return cls(cycles, k)
 
     @classmethod
@@ -100,20 +86,7 @@ class CycleDecomposition:
         perm = tuple(perm)
         if sorted(perm) != list(range(len(perm))):
             raise InvalidDecomposition(f"{perm!r} is not a permutation")
-        cycles = []
-        seen = set()
-        for start in range(len(perm)):
-            if start in seen:
-                continue
-            cyc = [start]
-            seen.add(start)
-            j = perm[start]
-            while j != start:
-                cyc.append(j)
-                seen.add(j)
-                j = perm[j]
-            cycles.append(tuple(x + 1 for x in cyc))
-        return cls(cycles, len(perm))
+        return cls([[x + 1 for x in c] for c in _cycles(perm)], len(perm))
 
     def to_permutation(self) -> tuple[int, ...]:
         """The 0-based one-line form."""
@@ -197,7 +170,7 @@ def trace_basis_state(rho) -> InvariantElement:
             per_cycle.append([({cycle[0]: cycle[0]}, rf([1]))])
         else:
             per_cycle.append(_cycle_terms(cycle))
-    out = {}
+    out = []
     for combo in itertools.product(*per_cycle):
         links = {}
         weight = rf([1])
@@ -205,11 +178,9 @@ def trace_basis_state(rho) -> InvariantElement:
             links.update(part)
             weight = weight * w
         perm = tuple(links[p] - 1 for p in range(1, k + 1))
-        diag = PrimitiveDiagram(sig, perm)
-        coeff = RadicalCoefficient.from_rational(weight)
-        cur = out.get(diag)
-        out[diag] = coeff if cur is None else cur + coeff
-    return InvariantElement(sig, out)
+        out.append((PrimitiveDiagram(sig, perm),
+                    RadicalCoefficient.from_rational(weight)))
+    return _collect(sig, out)
 
 
 def pair_singlet_projector(k: int = 1, pair: int = 1) -> InvariantElement:
@@ -295,7 +266,7 @@ def normalized_trace_basis(k: int):
     states are orthogonal as constructed).  For any other k the states
     are Gram-Schmidt orthogonalized in all_decompositions order.
     """
-    from .singlets import SingletOperator
+    from .singlets import _ket_projector
     from .symmetrizers import gram_schmidt
 
     states = raw_trace_states(k)
@@ -308,10 +279,4 @@ def normalized_trace_basis(k: int):
         if dropped:
             raise InvalidDecomposition(
                 "trace states are linearly dependent over Q(N)")
-    ops = []
-    for i, ket in enumerate(states):
-        norm = inner_product(ket, ket)
-        beta = RadicalCoefficient.zero() if norm.is_zero() else 1 / norm
-        ops.append(SingletOperator(ket=ket, bra=ket, normalization=beta,
-                                   kind="projector", labels=(i,)))
-    return ops
+    return [_ket_projector(ket, labels=(i,)) for i, ket in enumerate(states)]

@@ -3,6 +3,7 @@
 import pytest
 
 from birdtracks import checks
+from birdtracks.errors import OutOfRange
 
 
 @pytest.mark.parametrize("check, source", [
@@ -15,3 +16,8 @@ def test_short_basis_fails_the_check(monkeypatch, check, source):
     assert check() is False
     monkeypatch.undo()
     assert check() is True
+
+
+def test_unknown_check_name_is_out_of_range():
+    with pytest.raises(OutOfRange, match="nonesuch"):
+        checks.run_checks(["loop-factor", "nonesuch"])

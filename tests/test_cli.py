@@ -200,3 +200,106 @@ def test_json_output_bytes_are_pinned(capsys, argv, digest):
     code, out, _ = run(capsys, *argv, "--format", "json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# sha256 of stdout for every command in every format it offers, k <= 3,
+# recorded before the permutation helpers were merged.  correlator is left
+# out: its floats come from LAPACK QR and can differ between machines.
+@pytest.mark.parametrize("argv, digest", [
+    ("basis --k 3 --source builtin --format text",
+     "9cbc71fd6cd920f0862fb3e7664e6f9716b3d0cec7f613e7605ada27564d7315"),
+    ("basis --k 3 --source builtin --format json",
+     "73c3b39f1d8c05cd0cf081b009a37404aa4c9680b6b330a8f82a99415b894b7f"),
+    ("basis --k 3 --source builtin --format latex",
+     "8cdaf9164325498c2b14ed855fe5cd60af853842f9956b6cb100dfce3eb613f2"),
+    ("basis --k 3 --source trace --format text",
+     "01e29f32e8f8f9caba13dee6908df40584a1906a2daee2235055d9ec105ec5be"),
+    ("basis --k 3 --source trace --format json",
+     "8098dd2750fd43f54a9773a504434535b19083ce0fd5f453f852a397f539a23c"),
+    ("basis --k 3 --source trace --format latex",
+     "99b6dc3ff9185c70a8ccd8aabaa1957bbb5dfe27f0310d647a086ae865427ce9"),
+    ("basis --k 3 --source trace+orthogonalize --format text",
+     "4ea2f5498b5cfa23f13c2425e9eda9a87b283bc8e826fe0a3efd4b5e02cb8561"),
+    ("basis --k 3 --source trace+orthogonalize --format json",
+     "707bc3420deb3f7c35cfd2af6c08a1eaf0d39fc4106372e7d330d0d73973e17e"),
+    ("basis --k 3 --source trace+orthogonalize --format latex",
+     "2e3e665849e4f15b29926195899cf8dd257abf2190167a5532c1ed646dd8a981"),
+    ("gram --k 3 --source builtin --format text",
+     "1a8cc0f8cfa3f1c2a3e363c1aa5d8d88bbed3e7fc555a2693389b73f59c150e9"),
+    ("gram --k 3 --source builtin --format json",
+     "5807cc407b3e2a5a8a19beabe7623c92caaa1ef418fd38df9384966baec01e1d"),
+    ("gram --k 3 --source builtin --format latex",
+     "82b6dc6ef038a8110964716654baf340c07a4521c4740278e8e08af2466b7ac6"),
+    ("gram --k 3 --source trace --format text",
+     "55d4324f1428d665d9d82b665c18c2f0e50e190fe5db9638cdb4ea929420bfd8"),
+    ("gram --k 3 --source trace --format json",
+     "72b16633330b5542cfdd44b9236df85781a0879f7826de90cf732bdb7770d3a7"),
+    ("gram --k 3 --source trace --format latex",
+     "3c69a79de8997dd7a947022aee57452dbbecdf8bdfaed790f51fbda45f845f3f"),
+    ("gram --k 3 --source trace+orthogonalize --format text",
+     "7c54b2802c867d54bbaeec949c2a353c4f53aff01706cf1533e0697ef184f645"),
+    ("gram --k 3 --source trace+orthogonalize --format json",
+     "5ba03b5d32faccf916109f0458d4f3587dbad34d93bb2e70af043575c4475c56"),
+    ("gram --k 3 --source trace+orthogonalize --format latex",
+     "ff4f862225959c354a90f7eafa144561468032e48e5caed7d40c38f929920e8a"),
+    ("singlets --k 3 --source builtin --format text",
+     "dc12a9fec0875237a435cbac4fa7a59c26f8e49d0fa2fb3a14585361a1cc4cfc"),
+    ("singlets --k 3 --source builtin --format json",
+     "6eb95b9bb1a3c6fd79505db89bbb5f0a61c27717bea179c3db8cfa220ab5fd22"),
+    ("singlets --k 3 --source builtin --format latex",
+     "6d557b24db5267d2a2ceed8a0da081416bc18e4e3d7db4af20010ef1cdf7a045"),
+    ("singlets --k 3 --source trace --format text",
+     "7b78b211e0f869ad7401b736ee7e750746e13900f854311977bf54045e28f374"),
+    ("singlets --k 3 --source trace --format json",
+     "d281ce8a42ff3a9747c2de016d67378453690aa4a6f19faf768e4ef0acfc1e74"),
+    ("singlets --k 3 --source trace --format latex",
+     "f890b5b51c445f3e68ad3ab1666a5ff87c0603a94520d47d59f4b7bd88fba573"),
+    ("singlets --k 3 --source trace+orthogonalize --format text",
+     "28ddf30c99a9dc92c6a2ea0ccc967bc2e6d639ef32acb0d417af1c020902ba22"),
+    ("singlets --k 3 --source trace+orthogonalize --format json",
+     "e4e818aa697171ebfa0aa4efa529a6b1c00d296ce5d5886ac5cf2ebad4c4c69b"),
+    ("singlets --k 3 --source trace+orthogonalize --format latex",
+     "2eef75051a936b2737a9d1f58dda32581fa59e04d128680a42babe690f9fcdf6"),
+    ("gram --k 3 --source trace --N 2 --format text",
+     "ba2026102306a029b3caaba6fae136e28a996061ba3b03c270d7241bf098ca67"),
+    ("trace-basis --k 3 --format text",
+     "6abb093e8de34000fe635bc9224fc7359f13efe8d5fe8c93b5fd342a35307e40"),
+    ("trace-basis --k 3 --normalized --format text",
+     "33bf3f67fc8b218fcecd3d83dce341ec5e328dffb277a058406dc4698843c6b0"),
+    ("lr --m 2 --n 1 --N 3 --format text",
+     "eaca334ca45b8e3e5f363a28cf0d0c8b72359d86c6c063063a68e53696c6c752"),
+    ("transient --m 3 --n 0 --N 3 --format text",
+     "44e7e3714e590cbb70f268cd5f16ad9e3b39359c9dbfaed6808da4580ab6b083"),
+    ("gram --k 3 --source trace --N 2 --format json",
+     "b5d2fa4f71fda36c8f4c661364ba366b83fe9a4320e60863d3fa409f04fec96c"),
+    ("trace-basis --k 3 --format json",
+     "abaad9ef6f79a822ff54219f4d999582442589bdf0597444ee2b0325c20c0fd4"),
+    ("trace-basis --k 3 --normalized --format json",
+     "18c5be3467aad86f4febfa9bbc147c11471287d38f4aaa9abbfa312e77b98798"),
+    ("lr --m 2 --n 1 --N 3 --format json",
+     "a46d044670c741deb8e1ed015d09247ae69d166ab2df8567b6c67747d7b4275e"),
+    ("transient --m 3 --n 0 --N 3 --format json",
+     "90ba1498e98323483206885558ed870ecbeff80444fa3020dd8b380380943c6b"),
+    ("gram --k 3 --source trace --N 2 --format latex",
+     "3a6b457651b902449dc303393a2f1359e969f9cf15497a5880aad437a213f61f"),
+    ("trace-basis --k 3 --format latex",
+     "2203d5b6dd2d1b85b2e6aef0149f83a5cb8cdc350737d56430a0dab3a0d12e23"),
+    ("trace-basis --k 3 --normalized --format latex",
+     "1eb18251bcf702941ed387e41ecdc0ce162991db6e5ee3a65d4a07e9126e6db0"),
+    ("lr --m 2 --n 1 --N 3 --format latex",
+     "339f5638e336bf2b9d4b49808da8f2812ad597bbd68590a1e2d17d4095fbc98a"),
+    ("transient --m 3 --n 0 --N 3 --format latex",
+     "c4e4cfed842142c2f44a0737c1d7ff38e34ff4fa524b1484cfe4bd4881fc389f"),
+    ("eval --k 3 --N 2 --format text",
+     "5111d7189b38d2677e1bfae2705deb9b151202ffe022dc2afbc61b8b78dd5865"),
+    ("verify --check loop-factor --check pieri-dimensions --format text",
+     "7ccb57591fa6095a2a61655b32a6b3b5d5ec7704a6d2ddccd0464dcd9f06f65b"),
+    ("eval --k 3 --N 2 --format json",
+     "1f931fb4a1ac35dc72828623b5599aa394388a71dc519b07488ebe7314195e77"),
+    ("verify --check loop-factor --check pieri-dimensions --format json",
+     "948a603c2fa26298c70a393677dd542667bbb09afa44b8a5260ecd51e10ef6d9"),
+])
+def test_cli_stdout_bytes_are_pinned(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

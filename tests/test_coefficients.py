@@ -14,6 +14,7 @@ from birdtracks.coefficients import (
 )
 from birdtracks.errors import (
     DivisionByZero,
+    OutOfRange,
     PoleAtN,
     RadicalComparisonUnsupported,
     UnsupportedRadicalDivision,
@@ -133,6 +134,14 @@ def test_radical_division():
 def test_sqrt_of_zero_raises():
     with pytest.raises(ZeroRadicand):
         sqrt(rf([0]))
+
+
+def test_sqrt_of_negative_radicand_is_out_of_range():
+    # 4 - N^2 is nonzero but negative for large N
+    with pytest.raises(OutOfRange, match=r"-N\^2 \+ 4"):
+        sqrt(rf([4, 0, -1]))
+    with pytest.raises(OutOfRange):
+        sqrt(Fraction(-3))
 
 
 def test_eval_radical():

@@ -1,4 +1,6 @@
+import itertools
 import random
+import re
 
 from fractions import Fraction
 
@@ -22,6 +24,7 @@ from birdtracks.diagrams import (
     permutation_element,
     tensor,
     zero,
+    _perm_sign,
 )
 from birdtracks.errors import (
     BirdtrackError,
@@ -32,7 +35,11 @@ from birdtracks.errors import (
 )
 from birdtracks.numeric import evaluate_float
 from birdtracks.symmetrizers import builtin_orthogonal_basis
-from birdtracks.tracebasis import normalized_trace_basis, raw_trace_states
+from birdtracks.tracebasis import (
+    CycleDecomposition,
+    normalized_trace_basis,
+    raw_trace_states,
+)
 
 
 def perm_op(orients, text):
@@ -57,9 +64,26 @@ def test_cycle_parser_round_trip():
     assert format_cycles((1, 2, 0, 3)) == "(1 2 3)"
     assert format_cycles((0, 1, 2)) == "e"
     rng = random.Random(11)
-    for _ in range(30):
-        perm = random_perm(rng, 6)
-        assert parse_cycles(format_cycles(perm), 6) == perm
+    perms = [random_perm(rng, 6) for _ in range(30)]
+    perms += [p for n in range(1, 6) for p in itertools.permutations(range(n))]
+    for perm in perms:
+        n = len(perm)
+        assert parse_cycles(format_cycles(perm), n) == perm
+        # the canonical decomposition's text without its fixed points
+        text = CycleDecomposition.from_permutation(perm).to_text()
+        assert format_cycles(perm) == (re.sub(r"\(\d+\)", "", text) or "e")
+        # orbits found by repeated application, and inversions
+        orbits = set()
+        for start in range(n):
+            orbit, j = {start}, perm[start]
+            while j != start:
+                orbit.add(j)
+                j = perm[j]
+            orbits.add(frozenset(orbit))
+        inversions = sum(perm[i] > perm[j]
+                         for i in range(n) for j in range(i + 1, n))
+        assert _perm_sign(perm) == (-1) ** (n - len(orbits))
+        assert _perm_sign(perm) == (-1) ** inversions
 
 
 def test_cycle_parser_rejects_garbage():
