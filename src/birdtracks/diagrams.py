@@ -329,27 +329,19 @@ class InvariantElement:
         keep = [a for a in range(k) if a not in set(glued)]
         new_sig = Signature("".join(self.sig.orientations[a] for a in keep),
                             OPERATOR)
-        new_of_old = {a: i for i, a in enumerate(keep)}
-        glue = set(glued)
+        # endpoint -> result endpoint: left a -> i, right k + a -> kept + i
+        new_of_old = {}
+        for i, a in enumerate(keep):
+            new_of_old[a] = i
+            new_of_old[k + a] = len(keep) + i
+        joins = {}
+        for a in glued:
+            joins[a] = k + a
+            joins[k + a] = a
         out = []
         for diag, coeff in self.terms.items():
-            pairs = diag.matching()
-            # walk from each kept endpoint; hop L<->R across glued levels
-            def step(e: int) -> int:
-                nxt = pairs[e]
-                while nxt % k in glue:
-                    nxt = pairs[nxt + k if nxt < k else nxt - k]
-                return nxt
-            new_pairs = {}
-            for a in keep:
-                for e in (a, k + a):
-                    new_pairs[e] = step(e)
-            loops = _count_loops_within(pairs, k, glue)
-            reduced = {}
-            for e, f in new_pairs.items():
-                e2 = new_of_old[e % k] + (0 if e < k else len(keep))
-                f2 = new_of_old[f % k] + (0 if f < k else len(keep))
-                reduced[e2] = f2
+            free, loops = _glue(diag.matching(), joins)
+            reduced = {new_of_old[e]: new_of_old[f] for e, f in free.items()}
             perm = _matching_to_op_perm(new_sig.orientations, reduced)
             out.append((PrimitiveDiagram(new_sig, perm),
                         coeff * _n_power(loops)))
@@ -433,37 +425,41 @@ def _collect(sig: Signature, pairs) -> InvariantElement:
     return InvariantElement(sig, out)
 
 
-def _count_loops_within(pairs: Mapping[int, int], k: int,
-                        glue: set[int]) -> int:
-    """Closed loops of a partial trace: components living on glued levels."""
-    interior = {e for e in pairs if e % k in glue}
+def _glue(pairs: Mapping[int, int],
+          joins: Mapping[int, int]) -> tuple[dict[int, int], int]:
+    """Contract a perfect matching along joins.
+
+    pairs matches endpoints by delta lines; joins is an involution on some
+    of them, and gluing e to joins[e] fuses the two lines ending there.
+    Returns the matching this induces on the endpoints joins leaves free,
+    and the number of closed loops, each worth a factor N.
+    """
+    free = {}
     seen = set()
+    for start in pairs:
+        if start in joins or start in free:
+            continue
+        e = pairs[start]
+        while e in joins:
+            seen.add(e)
+            e = joins[e]
+            seen.add(e)
+            e = pairs[e]
+        free[start] = e
+        free[e] = start
+    # every joined endpoint not passed by an open line lies on a loop
     loops = 0
-    for start in interior:
+    for start in joins:
         if start in seen:
             continue
+        loops += 1
         e = start
-        closed = True
-        trail = []
-        while True:
-            trail.append(e)
-            nxt = pairs[e]
-            if nxt % k not in glue:
-                closed = False
-                break
-            trail.append(nxt)
-            e = nxt + k if nxt < k else nxt - k
-            if e == start:
-                break
-            if e in seen:
-                # marked by an earlier probe, and closed components are
-                # always swept whole on first visit: this one is open
-                closed = False
-                break
-        seen.update(trail)
-        if closed and trail:
-            loops += 1
-    return loops
+        while e not in seen:
+            seen.add(e)
+            e = pairs[e]
+            seen.add(e)
+            e = joins[e]
+    return free, loops
 
 
 # ---------------------------------------------------------------------------
@@ -498,14 +494,25 @@ def compose(a: InvariantElement, b: InvariantElement) -> InvariantElement:
             f"{a.sig.orientations!r} cannot act on {b.sig.orientations!r}")
     orients = a.sig.orientations
     k = len(orients)
-    glue = _glue_operator_pair if b.sig.is_operator() else _glue_op_ket
-    b_items = [(diag.matching(), coeff) for diag, coeff in b.terms.items()]
+    # a keeps endpoints 0..2k-1 and b's move up by 2k; a's right endpoint
+    # k + i meets b's left endpoint (operator) or leg (ket) i
+    joins = {}
+    for i in range(k):
+        joins[k + i] = 2 * k + i
+        joins[2 * k + i] = k + i
+    to_perm = (_matching_to_op_perm if b.sig.is_operator()
+               else _matching_to_ket_perm)
+    b_items = [({e + 2 * k: f + 2 * k for e, f in diag.matching().items()},
+                coeff) for diag, coeff in b.terms.items()]
 
     def terms():
         for da, ca in a.terms.items():
             ma = da.matching()
             for mb, cb in b_items:
-                perm, loops = glue(ma, mb, orients, k)
+                free, loops = _glue({**ma, **mb}, joins)
+                # b's right endpoints 3k..4k-1 become the result's k..2k-1
+                perm = to_perm(orients, {e % (2 * k): f % (2 * k)
+                                         for e, f in free.items()})
                 term = ca * cb * _n_power(loops) if loops else ca * cb
                 yield PrimitiveDiagram(b.sig, perm), term
 
@@ -513,104 +520,11 @@ def compose(a: InvariantElement, b: InvariantElement) -> InvariantElement:
     return _collect(b.sig, terms())
 
 
-def _glue_operator_pair(ma, mb, orients: str, k: int):
-    """Trace strands through A's right side glued to B's left side.
-
-    Endpoint spaces: A endpoints as-is; the result's left side is A's left,
-    its right side is B's right.  Returns (result perm, closed loop count).
-    """
-    new_pairs = {}
-    visited = set()  # interface endpoints seen during open walks
-
-    def walk(space, e):
-        # follow matching edges, hopping across the interface, until the
-        # walk exits at an outer endpoint
-        while True:
-            e = (ma if space == 0 else mb)[e]
-            if space == 0:
-                if e < k:               # A left: outer
-                    return 0, e
-                visited.add((0, e))
-                visited.add((1, e - k))
-                space, e = 1, e - k     # hop to B left
-            else:
-                if e >= k:              # B right: outer
-                    return 1, e
-                visited.add((1, e))
-                visited.add((0, e + k))
-                space, e = 0, e + k     # hop to A right
-
-    for a in range(k):
-        src_left = orients[a] != FUND
-        space, e = (0, a) if src_left else (1, k + a)
-        _, t_e = walk(space, e)
-        # outer labels coincide with result labels: A left is 0..k-1 and
-        # B right is k..2k-1, exactly the result's own endpoint numbering
-        res_src = a if src_left else k + a
-        new_pairs[res_src] = t_e
-        new_pairs[t_e] = res_src
-
-    loops = 0
-    for a in range(k):
-        for node in ((0, k + a), (1, a)):
-            if node in visited:
-                continue
-            # closed loop through the interface
-            loops += 1
-            space, e = node
-            while (space, e) not in visited:
-                visited.add((space, e))
-                other = (1, e - k) if space == 0 else (0, e + k)
-                visited.add(other)
-                space, e = other
-                e = (ma if space == 0 else mb)[e]
-                if (space == 0) == (e < k):
-                    raise AssertionError("loop escaped to outer endpoint")
-    perm = _matching_to_op_perm(orients, new_pairs)
-    return perm, loops
-
-
-def _glue_op_ket(ma, mb, orients: str, k: int):
-    """Glue operator right endpoints to ket legs.
-
-    The result's legs are the operator's left endpoints.  Returns (result
-    ket perm, closed loop count).
-    """
-    new_pairs = {}
-    visited = set()
-    for start in range(k):
-        if start in new_pairs:
-            continue
-        e = ma[start]          # from left endpoint into the operator
-        while e >= k:          # crossed to the right side: enter the ket
-            leg = e - k
-            visited.add(leg)
-            leg2 = mb[leg]
-            visited.add(leg2)
-            e = ma[k + leg2]
-        new_pairs[start] = e
-        new_pairs[e] = start
-    loops = 0
-    for leg in range(k):
-        if leg in visited:
-            continue
-        loops += 1
-        cur = leg
-        while cur not in visited:
-            visited.add(cur)
-            nxt = mb[cur]
-            visited.add(nxt)
-            follow = ma[k + nxt]
-            if follow < k:
-                raise AssertionError("loop escaped to outer endpoint")
-            cur = follow - k
-    return _matching_to_ket_perm(orients, new_pairs), loops
-
-
 def inner_product(a: InvariantElement, b: InvariantElement) -> RadicalCoefficient:
     """<a|b>: Tr(a^dagger b) for operators, full leg gluing for kets.
 
-    Coefficients are real, so conjugation is the identity on them.  Gluing
+    Coefficients are real, so conjugation is the identity on them, and
+    bending is an isometry: operators are paired as their bent kets.  Gluing
     ket diagram sigma onto ket diagram tau closes c(sigma^-1 tau) loops,
     the cycle count of sigma^-1 tau, so <sigma|tau> = N^c(sigma^-1 tau).
     Each ket is paired through its Gram form: per radicand r, the
@@ -627,7 +541,7 @@ def inner_product(a: InvariantElement, b: InvariantElement) -> RadicalCoefficien
     if a.sig != b.sig:
         raise SignatureMismatch(f"{a.sig} vs {b.sig}")
     if a.sig.is_operator():
-        return compose(a.dagger(), b).trace()
+        return inner_product(a.bend(), b.bend())
     total = RadicalCoefficient.zero()
     b_form = _gram_form(b)
     for key_a, scale_a, den_a, rows_a in _gram_form(a):

@@ -238,11 +238,7 @@ def leibniz_translate(tensor_in: ExactTensor, j: int):
         fresh = perm[block:]
         for rest, val in bucket:
             key = fresh + rest
-            total = out.get(key, Fraction(0)) + sign * val
-            if total:
-                out[key] = total
-            else:
-                del out[key]
+            out[key] = out.get(key, 0) + sign * val
     shape = (n_param,) * j + tensor_in.shape[block:]
     return ExactTensor(shape, entries=out), block
 
@@ -392,15 +388,12 @@ def baryon_equivalence_report(n_param: int = 3) -> dict[str, bool]:
         for ka, va in y.entries.items():
             for kb, vb in y.entries.items():
                 key = (ka[1], ka[2], ka[0], kb[1], kb[2], kb[0])
-                total = paired.get(key, Fraction(0)) + va * vb
-                if total:
-                    paired[key] = total
-                else:
-                    del paired[key]
+                paired[key] = paired.get(key, 0) + va * vb
         sixth = Fraction(1, 6)
-        return {key: val * sixth for key, val in paired.items()}
+        return ExactTensor((3,) * 6, entries={
+            key: val * sixth for key, val in paired.items()})
 
-    target = evaluate(antisymmetrizer([1, 2, 3], 3), 3).entries
+    target = evaluate(antisymmetrizer([1, 2, 3], 3), 3)
     main = eps_paired((2, 3))
     legs["pairing_matches_antisymmetrizer"] = main == target
     # untwisting the diquark line transposes the epsilon legs on both

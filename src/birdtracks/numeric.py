@@ -153,12 +153,7 @@ def evaluate(element: InvariantElement, n: int) -> ExactTensor:
         if value == 0:
             continue
         for key in _diagram_indices(diag, n, axes):
-            cur = entries.get(key)
-            total = value if cur is None else cur + value
-            if total:
-                entries[key] = total
-            elif cur is not None:
-                del entries[key]
+            entries[key] = entries.get(key, 0) + value
     return ExactTensor((n,) * axes, entries=entries)
 
 
@@ -179,32 +174,31 @@ def evaluate_float(element: InvariantElement, n: int) -> np.ndarray:
 
 
 def exact_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Rank of an exact rational matrix by Gaussian elimination."""
-    m = [list(map(Fraction, row)) for row in rows]
-    if not m:
-        return 0
-    n_rows, n_cols = len(m), len(m[0])
+    """Rank of an exact rational matrix by Gaussian elimination.
+
+    Rows are kept as {column: nonzero entry}, so eliminating a row touches
+    only the columns where the pivot row is nonzero.
+    """
+    pending = [{c: Fraction(x) for c, x in enumerate(row) if x}
+               for row in rows]
     rank = 0
-    row = 0
-    for col in range(n_cols):
-        pivot = None
-        for r in range(row, n_rows):
-            if m[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
+    while pending:
+        pivot = pending.pop()
+        if not pivot:
             continue
-        m[row], m[pivot] = m[pivot], m[row]
-        inv = 1 / m[row][col]
-        m[row] = [x * inv for x in m[row]]
-        for r in range(n_rows):
-            if r != row and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [x - factor * y for x, y in zip(m[r], m[row])]
         rank += 1
-        row += 1
-        if row == n_rows:
-            break
+        col, lead = next(iter(pivot.items()))
+        for row in pending:
+            factor = row.get(col)
+            if factor is None:
+                continue
+            factor /= lead
+            for c, x in pivot.items():
+                value = row.get(c, 0) - factor * x
+                if value:
+                    row[c] = value
+                else:
+                    del row[c]
     return rank
 
 

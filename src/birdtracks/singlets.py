@@ -14,12 +14,7 @@ and spots states that are dimensionally null.
 from dataclasses import dataclass, field, replace
 
 from .coefficients import RadicalCoefficient, sqrt
-from .diagrams import (
-    InvariantElement,
-    inner_product,
-    ketbra,
-    zero,
-)
+from .diagrams import InvariantElement, inner_product, ketbra
 from .errors import OutOfRange
 from .numeric import exact_rank
 from .symmetrizers import builtin_orthogonal_basis
@@ -57,10 +52,7 @@ class SingletOperator:
 
     def expand(self) -> InvariantElement:
         """The full diagram operator on Mixed(k,k)."""
-        op = ketbra(self.ket, self.bra)
-        if self.is_zero():
-            return zero(op.sig)
-        return op.scaled(self.normalization)
+        return ketbra(self.ket, self.bra.scaled(self.normalization))
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "labels": list(self.labels),
@@ -132,10 +124,7 @@ def rank_one_product(a: SingletOperator, b: SingletOperator) -> InvariantElement
     b's bra, carrying both normalizations.
     """
     weight = a.normalization * b.normalization * inner_product(a.bra, b.ket)
-    op = ketbra(a.ket, b.bra)
-    if weight.is_zero():
-        return zero(op.sig)
-    return op.scaled(weight)
+    return ketbra(a.ket, b.bra.scaled(weight))
 
 
 SOURCES = ("builtin", "trace", "trace+orthogonalize")

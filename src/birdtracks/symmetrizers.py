@@ -20,6 +20,7 @@ from .coefficients import (
 )
 from .diagrams import (
     InvariantElement,
+    PrimitiveDiagram,
     Signature,
     _perm_sign,
     compose,
@@ -122,16 +123,15 @@ def _embedded_sum(slots: Sequence[int], total: int,
     if slots[0] < 1 or slots[-1] > total or len(set(slots)) != len(slots):
         raise OutOfRange(f"slots {slots} not within 1..{total}")
     sig = Signature("q" * total)
-    weight = Fraction(1, math.factorial(len(slots)))
+    weight = RadicalCoefficient.from_rational(
+        Fraction(1, math.factorial(len(slots))))
     terms = {}
     for image in itertools.permutations(slots):
         perm = list(range(total))
         for src, dst in zip(slots, image):
             perm[src - 1] = dst - 1
-        sign = _perm_sign(perm) if signed else 1
-        el = permutation_element(sig, perm, Fraction(sign) * weight)
-        (diag, coeff), = el.terms.items()
-        terms[diag] = coeff
+        coeff = -weight if signed and _perm_sign(perm) < 0 else weight
+        terms[PrimitiveDiagram(sig, tuple(perm))] = coeff
     return InvariantElement(sig, terms)
 
 

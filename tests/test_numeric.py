@@ -5,6 +5,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from birdtracks.coefficients import rf
 from birdtracks.diagrams import (
@@ -15,6 +18,7 @@ from birdtracks.diagrams import (
     inner_product,
     ket_signature,
     permutation_element,
+    zero,
 )
 from birdtracks.errors import OutOfRange, RadicalComparisonUnsupported
 from birdtracks.numeric import (
@@ -217,3 +221,140 @@ def test_exact_tensor_mode_guards():
         f.matrix_rows(1)
     with pytest.raises(OutOfRange):
         ExactTensor((2,), mode="mystery")
+
+
+# -- exact rank against sympy -------------------------------------------------
+
+@st.composite
+def sparse_rational_matrices(draw):
+    """Mostly-zero rational matrices, often wide, with some dependent rows."""
+    n_rows = draw(st.integers(1, 5))
+    n_cols = draw(st.integers(1, 14))
+    value = st.fractions(-4, 4, max_denominator=5)
+    # two zero branches: about two cells in three are zero
+    cell = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), value)
+    rows = draw(st.lists(st.lists(cell, min_size=n_cols, max_size=n_cols),
+                         min_size=n_rows, max_size=n_rows))
+    for _ in range(draw(st.integers(0, 3))):
+        weights = draw(st.lists(value, min_size=n_rows, max_size=n_rows))
+        rows.append([sum(w * row[c] for w, row in zip(weights, rows[:n_rows]))
+                     for c in range(n_cols)])
+    return draw(st.permutations(rows))
+
+
+@settings(max_examples=40, deadline=None)
+@given(sparse_rational_matrices())
+def test_exact_rank_matches_sympy(rows):
+    want = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator)
+                          for x in row] for row in rows]).rank()
+    assert exact_rank(rows) == want
+    assert exact_rank([list(col) for col in zip(*rows)]) == want
+
+
+# -- diagram algebra against dense exact contraction --------------------------
+
+# Largest dense operator, N^(2k) entries, the tests below realise.
+_DENSE_ENTRIES = 729
+# Denominators that vanish at no N in 2..4.
+_DENOMINATORS = ([1], [0, 1], [1, 1], [-1, 1], [2, 0, 1])
+_BALANCED = ("qb", "bq", "qqbb", "qbqb", "qbbq", "bqqb", "bqbq", "bbqq")
+
+
+def random_element(draw, sig):
+    size = sig.n_slots if sig.is_operator() else sig.n_anti
+    coeff = st.builds(rf, st.lists(st.integers(-3, 3), min_size=1,
+                                   max_size=3),
+                      st.sampled_from(_DENOMINATORS))
+    terms = draw(st.lists(
+        st.tuples(st.permutations(range(size)).map(tuple), coeff),
+        min_size=1, max_size=4))
+    out = zero(sig)
+    for perm, c in terms:
+        out = out + InvariantElement.from_perm(sig, perm, c)
+    return out
+
+
+@st.composite
+def dense_cases(draw, count, ket=False):
+    """count random operators, then a ket if asked, on one signature, and N.
+
+    Operators have k <= 3 levels; kets have 2 or 4 legs.  N runs over 2..4
+    as far as N^(2k) stays within _DENSE_ENTRIES.
+    """
+    if ket:
+        orients = draw(st.sampled_from(_BALANCED))
+    else:
+        orients = draw(st.integers(1, 3).flatmap(
+            lambda k: st.text("qb", min_size=k, max_size=k)))
+    k = len(orients)
+    n = draw(st.sampled_from([n for n in (2, 3, 4)
+                              if n ** (2 * k) <= _DENSE_ENTRIES]))
+    out = [random_element(draw, Signature(orients)) for _ in range(count)]
+    if ket:
+        out.append(random_element(draw, Signature(orients, "ket")))
+    return out, n
+
+
+def dense_contract(a, b, k):
+    """Entries of sum_j A[i, j] B[j, rest], j running over k axes."""
+    by_row = {}
+    for key, val in b.entries.items():
+        by_row.setdefault(key[:k], []).append((key[k:], val))
+    out = {}
+    for key, val in a.entries.items():
+        for rest, weight in by_row.get(key[k:], ()):
+            idx = key[:k] + rest
+            out[idx] = out.get(idx, 0) + val * weight
+    return {idx: v for idx, v in out.items() if v}
+
+
+def dense_dot(a, b):
+    return sum(v * b.entries.get(key, 0) for key, v in a.entries.items())
+
+
+@settings(max_examples=40, deadline=None)
+@given(dense_cases(2))
+def test_compose_operators_matches_dense_product(case):
+    (a, b), n = case
+    k = a.sig.n_slots
+    assert evaluate(compose(a, b), n).entries == dense_contract(
+        evaluate(a, n), evaluate(b, n), k)
+
+
+@settings(max_examples=30, deadline=None)
+@given(dense_cases(1, ket=True))
+def test_compose_operator_with_ket_matches_dense_product(case):
+    (a, ket), n = case
+    k = a.sig.n_slots
+    assert evaluate(compose(a, ket), n).entries == dense_contract(
+        evaluate(a, n), evaluate(ket, n), k)
+
+
+@settings(max_examples=30, deadline=None)
+@given(dense_cases(1))
+def test_partial_trace_matches_dense_partial_trace(case):
+    (a,), n = case
+    k = a.sig.n_slots
+    dense = evaluate(a, n)
+    for size in range(1, k + 1):
+        for levels in itertools.combinations(range(k), size):
+            keep = [x for x in range(k) if x not in levels]
+            want = {}
+            for key, val in dense.entries.items():
+                if all(key[x] == key[k + x] for x in levels):
+                    idx = (tuple(key[x] for x in keep)
+                           + tuple(key[k + x] for x in keep))
+                    want[idx] = want.get(idx, 0) + val
+            got = evaluate(a.partial_trace(levels), n).entries
+            assert got == {idx: v for idx, v in want.items() if v}
+
+
+@settings(max_examples=30, deadline=None)
+@given(dense_cases(2))
+def test_inner_products_match_dense_dot(case):
+    (a, b), n = case
+    dot = dense_dot(evaluate(a, n), evaluate(b, n))
+    assert inner_product(a, b).eval_rational(n) == dot
+    bent_a, bent_b = a.bend(), b.bend()
+    assert dense_dot(evaluate(bent_a, n), evaluate(bent_b, n)) == dot
+    assert inner_product(bent_a, bent_b).eval_rational(n) == dot
