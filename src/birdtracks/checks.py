@@ -90,6 +90,7 @@ def check_operator_algebra() -> bool:
     """The 36 three-strand operators close under composition row-on-column."""
     table = singlet_table(3, "builtin")
     size = len(table)
+    expanded = [[op.expand() for op in row] for row in table]
     for i in range(size):
         for j in range(size):
             if table[i][j].dagger() != table[j][i]:
@@ -98,7 +99,7 @@ def check_operator_algebra() -> bool:
                 for l in range(size):
                     product = rank_one_product(table[i][j], table[k][l])
                     if j == k:
-                        if product != table[i][l].expand():
+                        if product != expanded[i][l]:
                             return False
                     elif not product.is_zero():
                         return False

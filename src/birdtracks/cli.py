@@ -4,7 +4,8 @@ Output is deterministic: the same configuration and seed produce
 byte-identical output, and JSON payloads carry a "schema": "1" marker so
 they can be re-parsed and compared as values.  Configuration problems
 exit with code 2 and a machine-readable JSON error on stderr; failed
-verification exits with code 1 the same way; success exits with 0.
+verification exits with code 1 the same way; success exits with 0.  A
+reader that closes stdout early ends the run with code 1 and no stderr.
 
 BIRDTRACK_THREADS, when set, must be a positive integer.  Evaluation is
 single-threaded, which respects any positive cap; a malformed value is
@@ -82,20 +83,12 @@ class CommandConfig:
         return cls(**data)
 
     def validate(self) -> None:
-        if self.format not in _FORMATS[self.command]:
-            raise ConfigError(
-                f"format {self.format!r} is not available for "
-                f"{self.command!r} (choose from "
-                f"{', '.join(_FORMATS[self.command])})")
         if self.k is not None and self.k < 1:
             raise ConfigError("--k must be at least 1")
         if self.m is not None and self.m < 0:
             raise ConfigError("--m must be at least 0")
         if self.n is not None and self.n < 0:
             raise ConfigError("--n must be at least 0")
-        if self.source is not None and self.source not in SOURCES:
-            raise ConfigError(
-                f"--source must be one of {', '.join(SOURCES)}")
         if self.command in ("lr", "transient", "correlator"):
             if self.N is None or self.N < 2:
                 raise ConfigError("--N must be at least 2 for this command")
@@ -536,7 +529,14 @@ def main(argv=None) -> int:
         with open(cfg.output, "w", encoding="utf-8") as handle:
             handle.write(rendered + "\n")
     else:
-        print(rendered)
+        try:
+            print(rendered)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # Python flushes stdout again at exit; devnull keeps that
+            # flush from raising a second BrokenPipeError
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 1
     if fail is not None:
         return _emit_error(1, fail)
     return 0

@@ -357,25 +357,17 @@ class InvariantElement:
         """
         if not self.sig.is_operator():
             raise SignatureMismatch("bend is defined on operators")
-        orients = self.sig.orientations
-        k = len(orients)
-        # endpoint -> bent slot; endpoints: left a, right k + a
-        fund_src = ([a for a in range(k) if orients[a] == FUND]
-                    + [k + a for a in range(k) if orients[a] == ANTI])
-        anti_src = ([a for a in range(k) if orients[a] == ANTI]
-                    + [k + a for a in range(k) if orients[a] == FUND])
-        fund_rank = {e: r for r, e in enumerate(fund_src)}
-        anti_rank = {e: r for r, e in enumerate(anti_src)}
-        new_sig = ket_signature(k, k)
-        out = {}
-        for diag, coeff in self.terms.items():
-            pairs = diag.matching()
-            linking = [0] * k
-            for a in range(k):
-                src = k + a if orients[a] == FUND else a    # P(a): anti leg
-                linking[anti_rank[src]] = fund_rank[pairs[src]]
-            out[PrimitiveDiagram(new_sig, tuple(linking))] = coeff
-        return InvariantElement(new_sig, out)
+        # endpoint e becomes leg e: left legs keep their orientation,
+        # right legs flip
+        legs = self.sig.orientations + self.sig.orientations.translate(
+            {ord(FUND): ANTI, ord(ANTI): FUND})
+        sig = Signature(legs, KET)
+        ket = InvariantElement(sig, {
+            PrimitiveDiagram(sig, _matching_to_ket_perm(legs, diag.matching())):
+            coeff for diag, coeff in self.terms.items()})
+        return ket.reorder_legs(
+            [e for e, o in enumerate(legs) if o == FUND]
+            + [e for e, o in enumerate(legs) if o == ANTI])
 
     def reorder_legs(self, order: Iterable[int]) -> "InvariantElement":
         """Relabel slots so that new slot j is old slot order[j]."""
@@ -696,16 +688,23 @@ def parse_cycles(text: str, size: int) -> tuple[int, ...]:
     "e", "id" and "()" all denote the identity.  Commas are accepted as
     separators inside a cycle.
     """
-    perm = list(range(size))
+    cycles = _cycle_entries(text, OutOfRange)
     seen = set()
-    for entries in _cycle_entries(text, OutOfRange):
+    for entries in cycles:
         if any(e < 1 or e > size for e in entries):
             raise OutOfRange(f"cycle entry outside 1..{size} in {text!r}")
         if len(set(entries)) != len(entries) or seen & set(entries):
             raise OutOfRange(f"repeated entry in {text!r}")
         seen |= set(entries)
-        for i, e in enumerate(entries):
-            perm[e - 1] = entries[(i + 1) % len(entries)] - 1
+    return _one_line(cycles, size)
+
+
+def _one_line(cycles: Iterable[Sequence[int]], size: int) -> tuple[int, ...]:
+    """The 0-based permutation of disjoint 1-based cycles on 1..size."""
+    perm = list(range(size))
+    for c in cycles:
+        for i, e in enumerate(c):
+            perm[e - 1] = c[(i + 1) % len(c)] - 1
     return tuple(perm)
 
 

@@ -22,8 +22,6 @@ from .diagrams import (
     _perm_sign,
     compose,
     identity,
-    inner_product,
-    ketbra,
     operator_signature,
     tensor,
 )
@@ -35,6 +33,7 @@ from .numeric import (
     evaluate,
     sample_special_unitary,
 )
+from .singlets import singlet_projector
 from .symmetrizers import (
     YoungShape,
     antisymmetrizer,
@@ -212,8 +211,6 @@ def leibniz_translate(tensor_in: ExactTensor, j: int):
     second translation of a pair owes a 1/N!, and projector constructions
     owe whatever extra factor idempotency demands on top.
     """
-    if tensor_in.mode != "exact":
-        raise OutOfRange("leibniz_translate needs an exact tensor")
     if not tensor_in.shape:
         raise BadBlockSize("tensor has no legs to translate")
     n_param = tensor_in.shape[0]
@@ -241,9 +238,6 @@ def leibniz_translate(tensor_in: ExactTensor, j: int):
             out[key] = out.get(key, 0) + sign * val
     shape = (n_param,) * j + tensor_in.shape[block:]
     return ExactTensor(shape, entries=out), block
-
-
-LR_PROJECTOR_KINDS = ("singlet", "adjoint")
 
 
 def _mat_mul(a, b):
@@ -322,11 +316,11 @@ def lr_pair_projector(kind: str, n_param: int) -> ExactTensor:
 def transient_singlet_projector(params: TransientParams, n_param: int):
     """The canonical balanced singlet projector for one parameter set.
 
-    Builds the ket on Mixed(alpha, alpha) with the a + b antisymmetrized
-    blocks of N - 1 pairs first (the translated epsilons), then the plain
-    trace-pair singlet on the k generic pairs, and returns the operator
-    |s><s| / <s|s>.  Symbolic in N; evaluate it at n_param to get the
-    numeric projector whose trace is exactly 1.
+    Tensors the a + b antisymmetrizers on N - 1 levels (the translated
+    epsilons) with the identity on the k generic pairs, bends that
+    operator into the ket s on Mixed(alpha, alpha), and returns the
+    expanded projector |s><s| / <s|s>.  Symbolic in N; evaluate it at
+    n_param to get the numeric projector whose trace is exactly 1.
     """
     if n_param < 2:
         raise OutOfRange(f"need n_param >= 2, got {n_param}")
@@ -334,25 +328,14 @@ def transient_singlet_projector(params: TransientParams, n_param: int):
         raise OutOfRange(f"not a transient layout: {params}")
     if (params.a + params.b) * (n_param - 1) + params.k != params.alpha:
         raise OutOfRange(f"alpha of {params} is inconsistent at N={n_param}")
-    blocks = [antisymmetrizer(range(1, n_param), n_param - 1).bend()
+    blocks = [antisymmetrizer(range(1, n_param), n_param - 1)
               for _ in range(params.a + params.b)]
     if params.k:
-        blocks.append(identity(operator_signature(params.k, 0)).bend())
-    ket = blocks[0]
+        blocks.append(identity(operator_signature(params.k, 0)))
+    operator = blocks[0]
     for extra in blocks[1:]:
-        ket = tensor(ket, extra)
-    sizes = [n_param - 1] * (params.a + params.b)
-    if params.k:
-        sizes.append(params.k)
-    fund, anti = [], []
-    pos = 0
-    for size in sizes:
-        fund.extend(range(pos, pos + size))
-        anti.extend(range(pos + size, pos + 2 * size))
-        pos += 2 * size
-    ket = ket.reorder_legs(fund + anti)
-    norm = inner_product(ket, ket)
-    return ketbra(ket, ket).scaled(rf([1]) / norm.rational_part())
+        operator = tensor(operator, extra)
+    return singlet_projector(operator).expand()
 
 
 def baryon_equivalence_report(n_param: int = 3) -> dict[str, bool]:

@@ -1,4 +1,4 @@
-"""Exact fixed-N realization of invariant elements, plus float-mode checks.
+"""Exact fixed-N realization of invariant elements, plus float correlators.
 
 Everything rank- or nullity-shaped runs in exact rational arithmetic; floats
 appear only where unitary matrices do (sampled group elements, correlators).
@@ -23,34 +23,15 @@ DENSE_CAP = 10 ** 6
 
 
 class ExactTensor:
-    """A dense-shape tensor stored sparsely (exact) or densely (float).
+    """A dense-shape tensor of Fraction entries, stored sparsely."""
 
-    mode is sticky: exact tensors hold Fraction entries and never degrade;
-    float tensors wrap a complex ndarray from the unitary-sampling path.
-    """
+    __slots__ = ("shape", "entries")
 
-    __slots__ = ("shape", "mode", "entries", "array")
-
-    def __init__(self, shape, mode="exact", entries=None, array=None):
+    def __init__(self, shape, entries=None):
         self.shape = tuple(shape)
-        self.mode = mode
-        if mode == "exact":
-            self.entries = {k: v for k, v in (entries or {}).items() if v}
-            self.array = None
-        elif mode == "float":
-            self.entries = None
-            self.array = np.asarray(array, dtype=complex)
-        else:
-            raise OutOfRange(f"unknown tensor mode {mode!r}")
-
-    @classmethod
-    def from_array(cls, array) -> "ExactTensor":
-        array = np.asarray(array, dtype=complex)
-        return cls(array.shape, mode="float", array=array)
+        self.entries = {k: v for k, v in (entries or {}).items() if v}
 
     def to_array(self) -> np.ndarray:
-        if self.mode == "float":
-            return self.array
         out = np.zeros(self.shape, dtype=complex)
         for idx, val in self.entries.items():
             out[idx] = float(val)
@@ -58,8 +39,6 @@ class ExactTensor:
 
     def matrix_rows(self, row_axes: int) -> list[list[Fraction]]:
         """Flatten to a matrix of Fractions, first row_axes axes as rows."""
-        if self.mode != "exact":
-            raise OutOfRange("matrix_rows needs an exact tensor")
         row_dims = self.shape[:row_axes]
         col_dims = self.shape[row_axes:]
         n_rows = math.prod(row_dims) if row_dims else 1
@@ -77,17 +56,12 @@ class ExactTensor:
         if sorted(order) != list(range(len(self.shape))):
             raise DimensionMismatch(f"{order} is not an axis permutation")
         shape = tuple(self.shape[o] for o in order)
-        if self.mode == "float":
-            return ExactTensor(shape, mode="float",
-                               array=np.transpose(self.array, order))
         entries = {tuple(idx[o] for o in order): v
                    for idx, v in self.entries.items()}
         return ExactTensor(shape, entries=entries)
 
     def trace(self) -> Fraction:
         """Matrix trace, pairing axis i with axis rank/2 + i."""
-        if self.mode != "exact":
-            raise OutOfRange("exact trace needs an exact tensor")
         half = len(self.shape) // 2
         if self.shape[:half] != self.shape[half:]:
             raise DimensionMismatch(f"non-square shape {self.shape}")
@@ -100,11 +74,7 @@ class ExactTensor:
     def __eq__(self, other):
         if not isinstance(other, ExactTensor):
             return NotImplemented
-        if self.mode != other.mode or self.shape != other.shape:
-            return False
-        if self.mode == "exact":
-            return self.entries == other.entries
-        return bool(np.array_equal(self.array, other.array))
+        return self.shape == other.shape and self.entries == other.entries
 
 
 def _flatten(idx: tuple[int, ...], dims: tuple[int, ...]) -> int:

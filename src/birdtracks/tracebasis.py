@@ -20,6 +20,7 @@ from .diagrams import (
     _collect,
     _cycle_entries,
     _cycles,
+    _one_line,
     identity,
     ket_signature,
     operator_signature,
@@ -56,15 +57,10 @@ class CycleDecomposition:
             raise InvalidDecomposition(f"entry {size} exceeds k={k}")
         if k < 1:
             raise InvalidDecomposition("k must be at least 1")
-        missing = set(range(1, k + 1)) - set(flat)
-        raw.extend((p,) for p in missing)
-        canon = []
-        for c in raw:
-            low = c.index(min(c))
-            canon.append(c[low:] + c[:low])
-        canon.sort(key=lambda c: c[0])
+        canon = _cycles(_one_line(raw, k))
         object.__setattr__(self, "k", k)
-        object.__setattr__(self, "cycles", tuple(canon))
+        object.__setattr__(self, "cycles",
+                           tuple(tuple(x + 1 for x in c) for c in canon))
 
     def __setattr__(self, name, value):
         raise AttributeError("CycleDecomposition is immutable")
@@ -90,11 +86,7 @@ class CycleDecomposition:
 
     def to_permutation(self) -> tuple[int, ...]:
         """The 0-based one-line form."""
-        perm = list(range(self.k))
-        for c in self.cycles:
-            for i, p in enumerate(c):
-                perm[p - 1] = c[(i + 1) % len(c)] - 1
-        return tuple(perm)
+        return _one_line(self.cycles, self.k)
 
     def to_text(self) -> str:
         return "".join("(" + " ".join(str(x) for x in c) + ")"
@@ -261,10 +253,10 @@ def raw_trace_states(k: int):
 def normalized_trace_basis(k: int):
     """k! singlet projectors built from orthogonalized trace states.
 
-    For k = 3 the two 3-cycle states are replaced by their sum and
-    difference, reproducing the xi-pattern normalizations (the other
-    states are orthogonal as constructed).  For any other k the states
-    are Gram-Schmidt orthogonalized in all_decompositions order.
+    The states are Gram-Schmidt orthogonalized in all_decompositions
+    order.  For k = 3 the two 3-cycle states are first replaced by their
+    sum and difference, reproducing the xi-pattern normalizations; the
+    family is then already orthogonal and passes through unchanged.
     """
     from .singlets import _ket_projector
     from .symmetrizers import gram_schmidt
@@ -274,9 +266,8 @@ def normalized_trace_basis(k: int):
         s123, s132 = states[4], states[5]
         states[4] = s123 - s132
         states[5] = s123 + s132
-    else:
-        states, dropped = gram_schmidt(states)
-        if dropped:
-            raise InvalidDecomposition(
-                "trace states are linearly dependent over Q(N)")
+    states, dropped = gram_schmidt(states)
+    if dropped:
+        raise InvalidDecomposition(
+            "trace states are linearly dependent over Q(N)")
     return [_ket_projector(ket, labels=(i,)) for i, ket in enumerate(states)]

@@ -1,8 +1,12 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import birdtracks
 from birdtracks.cli import main
 
 
@@ -130,6 +134,33 @@ def test_format_rejected_before_computation(capsys):
     code, _, err = run(capsys, "verify", "--format", "latex")
     assert code == 2
     assert "latex" in json.loads(err)["error"]["message"]
+
+
+def test_source_rejected_before_computation(capsys):
+    code, out, err = run(capsys, "basis", "--k", "2", "--source", "bogus")
+    assert code == 2
+    assert out == ""
+    blob = json.loads(err)
+    assert blob["error"]["code"] == 2
+    assert "bogus" in blob["error"]["message"]
+
+
+def test_closed_stdout_exits_quietly():
+    # 217 kB of JSON overfills the pipe, so the write after the reader
+    # has gone fails for certain
+    src = os.path.dirname(os.path.dirname(birdtracks.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "birdtracks.cli", "singlets", "--k", "3",
+         "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert b"Traceback" not in err
+    assert err == b""
 
 
 def test_lr_rejects_empty_product(capsys):

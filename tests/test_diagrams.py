@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from birdtracks.coefficients import N, ONE, RadicalCoefficient, rf, sqrt
 from birdtracks.diagrams import (
     InvariantElement,
+    PrimitiveDiagram,
     Signature,
     compose,
     format_cycles,
@@ -293,6 +294,57 @@ def test_ketbra_composition_is_rank_one():
         lhs = compose(ketbra(u, v), ketbra(w, x))
         rhs = ketbra(u, x).scaled(inner_product(v, w))
         assert lhs == rhs
+
+
+def reference_bend(element):
+    """The bent ket, built by ranking every operator endpoint directly.
+
+    Left endpoint a is fundamental when level a is, right endpoint k + a
+    when level a is antifundamental; the ket pairs each antifundamental
+    endpoint's rank with the rank of the fundamental endpoint it meets.
+    """
+    orients = element.sig.orientations
+    k = len(orients)
+    fund_src = ([a for a in range(k) if orients[a] == "q"]
+                + [k + a for a in range(k) if orients[a] == "b"])
+    anti_src = ([a for a in range(k) if orients[a] == "b"]
+                + [k + a for a in range(k) if orients[a] == "q"])
+    fund_rank = {e: r for r, e in enumerate(fund_src)}
+    anti_rank = {e: r for r, e in enumerate(anti_src)}
+    sig = ket_signature(k, k)
+    out = {}
+    for diag, coeff in element.terms.items():
+        pairs = diag.matching()
+        linking = [0] * k
+        for a in range(k):
+            src = k + a if orients[a] == "q" else a
+            linking[anti_rank[src]] = fund_rank[pairs[src]]
+        out[PrimitiveDiagram(sig, tuple(linking))] = coeff
+    return InvariantElement(sig, out)
+
+
+def test_bend_matches_endpoint_ranking_on_every_diagram():
+    for size in range(1, 5):
+        for letters in itertools.product("qb", repeat=size):
+            sig = Signature("".join(letters))
+            for perm in itertools.permutations(range(size)):
+                el = permutation_element(sig, perm)
+                assert el.bend() == reference_bend(el)
+
+
+def test_bend_matches_endpoint_ranking_on_random_sums():
+    rng = random.Random(211)
+    for _ in range(40):
+        size = rng.randint(1, 4)
+        sig = Signature("".join(rng.choice("qb") for _ in range(size)))
+        el = zero(sig)
+        for _ in range(rng.randint(1, 6)):
+            coeff = rf([rng.randint(-3, 3), rng.randint(0, 2)],
+                       [rng.randint(1, 3)])
+            if rng.random() < 0.3:
+                coeff = sqrt(rf([0, 1])) * coeff
+            el = el + permutation_element(sig, random_perm(rng, size), coeff)
+        assert el.bend() == reference_bend(el)
 
 
 def test_reorder_legs_round_trip():
