@@ -145,10 +145,10 @@ def _poly_latex(coeffs) -> str:
 
 
 def _rf_latex(r: RationalFunction) -> str:
-    num = _poly_latex(r.num)
-    if r.den == (Fraction(1),):
-        return num
-    return f"\\frac{{{num}}}{{{_poly_latex(r.den)}}}"
+    num, den = r.monic()
+    if len(den) == 1:
+        return _poly_latex(num)
+    return f"\\frac{{{_poly_latex(num)}}}{{{_poly_latex(den)}}}"
 
 
 def _rad_latex(rc: RadicalCoefficient) -> str:

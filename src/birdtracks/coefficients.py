@@ -1,7 +1,8 @@
 """Exact scalar arithmetic in Q(N), optionally extended by square roots.
 
 Coefficients of invariant-element expansions live in the field of rational
-functions of the symbolic dimension N.  Normalizing transition operators
+functions of the symbolic dimension N, each stored as a quotient of two
+integer-coefficient polynomials.  Normalizing transition operators
 additionally needs square roots, so a second layer represents finite sums
 
     sum_i  m_i(N) * sqrt(r_i(N))
@@ -31,17 +32,17 @@ from .errors import (
 )
 
 # ---------------------------------------------------------------------------
-# Dense univariate polynomials over Q: tuple of Fractions, lowest degree
-# first, no trailing zeros.  () is the zero polynomial.
+# Dense univariate polynomials over Z: tuple of ints, lowest degree first,
+# no trailing zeros.  () is the zero polynomial.
 # ---------------------------------------------------------------------------
 
-Poly = tuple[Fraction, ...]
+Poly = tuple[int, ...]
 
 _ZERO: Poly = ()
-_ONE: Poly = (Fraction(1),)
+_ONE: Poly = (1,)
 
 
-def _trim(cs: list[Fraction]) -> Poly:
+def _trim(cs: list[int]) -> Poly:
     while cs and cs[-1] == 0:
         cs.pop()
     return tuple(cs)
@@ -63,85 +64,92 @@ def _p_neg(a: Poly) -> Poly:
 def _p_mul(a: Poly, b: Poly) -> Poly:
     if not a or not b:
         return _ZERO
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
+            for j, cb in enumerate(b, i):
+                out[j] += ca * cb
     return _trim(out)
 
 
-def _p_scale(a: Poly, c: Fraction) -> Poly:
-    if c == 0:
-        return _ZERO
-    return tuple(x * c for x in a)
+def _p_exquo(a: Poly, b: Poly) -> Poly:
+    """a / b, for a nonzero b that divides a with an integral quotient.
 
-
-def _p_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
-    if not b:
-        raise DivisionByZero("polynomial division by zero")
+    A primitive b dividing a over Q always does (Gauss's lemma).
+    """
     rem = list(a)
-    quo = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    inv_lead = 1 / b[-1]
-    while len(rem) >= len(b):
-        c = rem[-1] * inv_lead
-        d = len(rem) - len(b)
-        quo[d] = c
-        for i, cb in enumerate(b):
-            rem[d + i] -= c * cb
-        while rem and rem[-1] == 0:
-            rem.pop()
-        if not rem:
-            break
-    return _trim(quo), _trim(rem)
+    quo = [0] * (len(a) - len(b) + 1)
+    for d in range(len(quo) - 1, -1, -1):
+        c = quo[d] = rem[d + len(b) - 1] // b[-1]
+        if c:
+            for i, cb in enumerate(b, d):
+                rem[i] -= c * cb
+    return tuple(quo)
 
 
-def _p_monic(a: Poly) -> Poly:
-    if not a or a[-1] == 1:
-        return a
-    return _p_scale(a, 1 / a[-1])
+def _p_primitive(a: Poly) -> Poly:
+    """a divided by its integer content, leading coefficient made positive."""
+    c = math.gcd(*a)
+    if a[-1] < 0:
+        c = -c
+    return a if c == 1 else tuple(x // c for x in a)
 
 
 @lru_cache(maxsize=65536)
 def _p_gcd(a: Poly, b: Poly) -> Poly:
-    # the same small numerator/denominator pairs recur constantly in
-    # diagram compositions, so Euclid's results are worth caching
+    """The primitive gcd with positive leading coefficient; a, b not both 0.
+
+    A primitive pseudo-remainder sequence: each remainder of lc(b)^k * a
+    by b is integral, and dividing it by its content keeps the integers
+    small.  The same small numerator/denominator pairs recur constantly in
+    diagram compositions, so the results are worth caching.
+    """
+    if len(a) < len(b):
+        a, b = b, a
     while b:
-        _, r = _p_divmod(a, b)
-        a, b = b, _p_monic(r)
-    return _p_monic(a)
+        if len(b) == 1:
+            return _ONE
+        rem, lead = list(a), b[-1]
+        while len(rem) >= len(b):
+            c, d = rem[-1], len(rem) - len(b)
+            if lead != 1:
+                rem = [x * lead for x in rem]
+            for i, cb in enumerate(b, d):
+                rem[i] -= c * cb
+            while rem and rem[-1] == 0:
+                rem.pop()
+        a, b = b, (_p_primitive(tuple(rem)) if rem else _ZERO)
+    return _p_primitive(a)
+
+
+def _cancel(a: Poly, b: Poly) -> tuple[Poly, Poly]:
+    """a and b divided by their gcd, which leaves them coprime over Q."""
+    g = _p_gcd(a, b)
+    return (a, b) if len(g) == 1 else (_p_exquo(a, g), _p_exquo(b, g))
 
 
 def _p_deriv(a: Poly) -> Poly:
     return _trim([i * c for i, c in enumerate(a)][1:])
 
 
-def _p_eval(a: Poly, x: Fraction) -> Fraction:
-    acc = Fraction(0)
+def _p_eval(a: Poly, x: int | Fraction) -> int | Fraction:
+    acc = 0
     for c in reversed(a):
         acc = acc * x + c
     return acc
 
 
-def _p_from_ints(cs: Iterable[int]) -> Poly:
-    return _trim([Fraction(c) for c in cs])
-
-
 def _squarefree_split(a: Poly) -> tuple[Poly, Poly]:
-    """Write a monic polynomial as s^2 * r with r monic squarefree.
+    """Write a primitive polynomial with positive leading coefficient as s^2 * r.
 
-    Returns (s, r).  Yun's algorithm, specialized to characteristic zero.
+    Returns (s, r), both primitive with positive leading coefficient, r
+    squarefree.  Yun's algorithm, specialized to characteristic zero; each
+    division is by a primitive gcd, so every quotient stays in Z[N].
     """
-    if len(a) <= 1:
-        return _ONE, a
     g = _p_gcd(a, _p_deriv(a))
-    if len(g) == 1:
-        return _ONE, a
-    square = _ONE
-    rest = _ONE
-    b, _ = _p_divmod(a, g)
-    c, _ = _p_divmod(_p_deriv(a), g)
-    d = _p_add(c, _p_neg(_p_deriv(b)))
+    square = rest = _ONE
+    b = _p_exquo(a, g)
+    d = _p_add(_p_exquo(_p_deriv(a), g), _p_neg(_p_deriv(b)))
     mult = 1
     while len(b) > 1:
         factor = _p_gcd(b, d)
@@ -149,11 +157,10 @@ def _squarefree_split(a: Poly) -> tuple[Poly, Poly]:
             square = _p_mul(square, factor)
         if mult % 2:
             rest = _p_mul(rest, factor)
-        b, _ = _p_divmod(b, factor)
-        c, _ = _p_divmod(d, factor)
-        d = _p_add(c, _p_neg(_p_deriv(b)))
+        b = _p_exquo(b, factor)
+        d = _p_add(_p_exquo(d, factor), _p_neg(_p_deriv(b)))
         mult += 1
-    return _p_monic(square), _p_monic(rest)
+    return square, rest
 
 
 def _int_square_split(n: int) -> tuple[int, int]:
@@ -173,11 +180,23 @@ def _int_square_split(n: int) -> tuple[int, int]:
     return s, r * n
 
 
-class RationalFunction:
-    """A reduced fraction of polynomials in N with rational coefficients.
+def _unit_normal(num: Poly, den: Poly) -> tuple[Poly, Poly]:
+    """num/den with their common integer content divided out, den[-1] > 0."""
+    c = math.gcd(*num, *den)
+    if den[-1] < 0:
+        c = -c
+    if c == 1:
+        return num, den
+    return tuple(x // c for x in num), tuple(x // c for x in den)
 
-    Canonical form: gcd(num, den) = 1, den monic, zero is 0/1.  Equality and
-    hashing therefore work structurally.
+
+class RationalFunction:
+    """A reduced fraction of polynomials in N with integer coefficients.
+
+    Canonical form: num and den are coprime in Q[N] and share no integer
+    factor, den has a positive leading coefficient, and zero is 0/1.  The
+    form is unique, so equality and hashing work structurally.  Printers
+    show it with den made monic (see monic).
     """
 
     __slots__ = ("num", "den")
@@ -189,14 +208,7 @@ class RationalFunction:
             if not num:
                 den = _ONE
             else:
-                g = _p_gcd(num, den)
-                if len(g) > 1:
-                    num, _ = _p_divmod(num, g)
-                    den, _ = _p_divmod(den, g)
-                lead = den[-1]
-                if lead != 1:
-                    num = _p_scale(num, 1 / lead)
-                    den = _p_scale(den, 1 / lead)
+                num, den = _unit_normal(*_cancel(num, den))
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -210,7 +222,7 @@ class RationalFunction:
         f = Fraction(value)
         if f == 0:
             return _RF_ZERO
-        return cls((f,), _ONE, _reduced=True)
+        return cls((f.numerator,), (f.denominator,), _reduced=True)
 
     @classmethod
     def variable(cls) -> "RationalFunction":
@@ -220,8 +232,11 @@ class RationalFunction:
     @classmethod
     def from_coeff_lists(cls, num: Iterable[int | Fraction],
                          den: Iterable[int | Fraction] = (1,)) -> "RationalFunction":
-        return cls(_trim([Fraction(c) for c in num]),
-                   _trim([Fraction(c) for c in den]))
+        num = [Fraction(c) for c in num]
+        den = [Fraction(c) for c in den]
+        scale = math.lcm(*(c.denominator for c in num + den))
+        return cls(_trim([int(c * scale) for c in num]),
+                   _trim([int(c * scale) for c in den]))
 
     # -- predicates ---------------------------------------------------------
 
@@ -234,7 +249,13 @@ class RationalFunction:
     def as_fraction(self) -> Fraction:
         if not self.is_constant():
             raise ValueError(f"{self} is not a constant")
-        return self.num[0] / self.den[0] if self.num else Fraction(0)
+        return Fraction(self.num[0], self.den[0]) if self.num else Fraction(0)
+
+    def monic(self) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+        """Numerator and denominator divided by den's leading coefficient."""
+        lead = self.den[-1]
+        return (tuple(Fraction(c, lead) for c in self.num),
+                tuple(Fraction(c, lead) for c in self.den))
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -299,18 +320,19 @@ class RationalFunction:
         return hash((self.num, self.den))
 
     def __repr__(self):
-        if len(self.den) == 1:
-            return _poly_str(self.num)
-        return f"({_poly_str(self.num)})/({_poly_str(self.den)})"
+        num, den = self.monic()
+        if len(den) == 1:
+            return _poly_str(num)
+        return f"({_poly_str(num)})/({_poly_str(den)})"
 
     def to_json(self) -> dict:
-        return {"num": [str(c) for c in self.num],
-                "den": [str(c) for c in self.den]}
+        num, den = self.monic()
+        return {"num": [str(c) for c in num], "den": [str(c) for c in den]}
 
     @classmethod
     def from_json(cls, data: Mapping) -> "RationalFunction":
-        return cls(_trim([Fraction(c) for c in data["num"]]),
-                   _trim([Fraction(c) for c in data["den"]]))
+        return cls.from_coeff_lists(map(Fraction, data["num"]),
+                                    map(Fraction, data["den"]))
 
 
 def _as_rf(x) -> RationalFunction:
@@ -323,7 +345,7 @@ def _as_rf(x) -> RationalFunction:
 
 _RF_ZERO = RationalFunction(_ZERO, _ONE, _reduced=True)
 _RF_ONE = RationalFunction(_ONE, _ONE, _reduced=True)
-_RF_N = RationalFunction((Fraction(0), Fraction(1)), _ONE, _reduced=True)
+_RF_N = RationalFunction((0, 1), _ONE, _reduced=True)
 
 
 @lru_cache(maxsize=1 << 18)
@@ -336,26 +358,14 @@ def _rf_add(num1: Poly, den1: Poly, num2: Poly, den2: Poly) -> RationalFunction:
 
 @lru_cache(maxsize=1 << 18)
 def _rf_mul(num1: Poly, den1: Poly, num2: Poly, den2: Poly) -> RationalFunction:
-    # cross-reduce first: inputs are reduced, so the result stays reduced
-    a, b = num1, den2
-    g = _p_gcd(a, b)
-    if len(g) > 1:
-        a, _ = _p_divmod(a, g)
-        b, _ = _p_divmod(b, g)
-    c, d = num2, den1
-    g = _p_gcd(c, d)
-    if len(g) > 1:
-        c, _ = _p_divmod(c, g)
-        d, _ = _p_divmod(d, g)
-    num = _p_mul(a, c)
-    den = _p_mul(b, d)
-    if not num:
+    # cross-reduce first: inputs are reduced, so the result is coprime in
+    # Q[N] and only the integer content is left to divide out
+    if not num1 or not num2:
         return _RF_ZERO
-    lead = den[-1]
-    if lead != 1:
-        num = _p_scale(num, 1 / lead)
-        den = _p_scale(den, 1 / lead)
-    return RationalFunction(num, den, _reduced=True)
+    a, b = _cancel(num1, den2)
+    c, d = _cancel(num2, den1)
+    return RationalFunction(*_unit_normal(_p_mul(a, c), _p_mul(b, d)),
+                            _reduced=True)
 
 
 def _poly_str(p: Poly, var: str = "N") -> str:
@@ -393,34 +403,18 @@ _UNIT_KEY: RadicandKey = (1,)
 def _canonical_sqrt(p: Poly) -> tuple[RationalFunction, RadicandKey]:
     """Split sqrt(p) into multiplier * sqrt(key) with a canonical key.
 
-    p is a nonzero polynomial over Q with positive leading coefficient.
+    p is a nonzero integer polynomial with positive leading coefficient.
     """
-    lead = p[-1]
-    if lead < 0:
+    if p[-1] < 0:
         raise OutOfRange(
             f"negative leading coefficient in radicand {_poly_str(p)}")
-    monic = _p_scale(p, 1 / lead)
-    s_poly, r_poly = _squarefree_split(monic)
-    # rational content: lead times the content needed to make r_poly integral
-    den_lcm = 1
-    for c in r_poly:
-        den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-    r_int = [c * den_lcm for c in r_poly]
-    num_gcd = 0
-    for c in r_int:
-        num_gcd = math.gcd(num_gcd, c.numerator)
-    num_gcd = num_gcd or 1
-    r_prim = tuple(int(c / num_gcd) for c in r_int)  # primitive integer poly
-    # sqrt(p) = sqrt(lead) * s_poly * sqrt(r_poly); r_poly = (num_gcd/den_lcm) r_prim
-    content = Fraction(lead) * num_gcd / den_lcm
-    # sqrt(content) = sqrt(content.num * content.den) / content.den
-    c_int = content.numerator * content.denominator
-    sq, sf = _int_square_split(c_int)
-    mult = RationalFunction(_p_scale(s_poly, Fraction(sq, content.denominator)))
-    if sf == 1 and len(r_prim) == 1 and r_prim[0] == 1:
-        return mult, _UNIT_KEY
-    key = tuple(sf * c for c in r_prim)
-    return mult, key
+    # p = content * s^2 * r with r squarefree and primitive, and
+    # content = sq^2 * sf with sf squarefree
+    content = math.gcd(*p)
+    s_poly, r_poly = _squarefree_split(_p_primitive(p))
+    sq, sf = _int_square_split(content)
+    mult = RationalFunction(tuple(sq * c for c in s_poly), _ONE, _reduced=True)
+    return mult, tuple(sf * c for c in r_poly)
 
 
 class RadicalCoefficient:
@@ -499,14 +493,13 @@ class RadicalCoefficient:
                 if k1 == k2:
                     key = _UNIT_KEY
                     if k1 != _UNIT_KEY:
-                        m = m * RationalFunction(_p_from_ints(k1))
+                        m = m * RationalFunction(k1, _ONE, _reduced=True)
                 elif k1 == _UNIT_KEY:
                     key = k2
                 elif k2 == _UNIT_KEY:
                     key = k1
                 else:
-                    prod = _p_mul(_p_from_ints(k1), _p_from_ints(k2))
-                    extra, key = _canonical_sqrt(prod)
+                    extra, key = _canonical_sqrt(_p_mul(k1, k2))
                     m = m * extra
                 cur = out.get(key)
                 out[key] = m if cur is None else cur + m
@@ -526,7 +519,7 @@ class RadicalCoefficient:
             return RadicalCoefficient(
                 {k: m / mult for k, m in self.terms.items()})
         # 1/(m sqrt(r)) = sqrt(r) / (m r)
-        r = RationalFunction(_p_from_ints(key))
+        r = RationalFunction(key, _ONE, _reduced=True)
         return self * RadicalCoefficient({key: _RF_ONE / (mult * r)})
 
     def __rtruediv__(self, other):
@@ -544,7 +537,7 @@ class RadicalCoefficient:
         for key, mult in self.terms.items():
             m = mult.eval_at(n)
             if key != _UNIT_KEY:
-                r = _p_eval(_p_from_ints(key), Fraction(n))
+                r = _p_eval(key, Fraction(n))
                 if r == 0:
                     continue
                 sign = 1 if r > 0 else -1
@@ -556,12 +549,7 @@ class RadicalCoefficient:
                 d = sign * d_num * d_den
             else:
                 d = 1
-            if m == 0:
-                continue
-            if d == 1:
-                out[1] = out.get(1, Fraction(0)) + m
-            else:
-                out[d] = out.get(d, Fraction(0)) + m
+            out[d] = out.get(d, Fraction(0)) + m
         return {d: v for d, v in out.items() if v != 0}
 
     def eval_rational(self, n: int | Fraction) -> Fraction:
@@ -603,7 +591,7 @@ class RadicalCoefficient:
             if key == _UNIT_KEY:
                 parts.append(repr(mult))
             else:
-                parts.append(f"({mult!r})*sqrt({_poly_str(_p_from_ints(key))})")
+                parts.append(f"({mult!r})*sqrt({_poly_str(key)})")
         return " + ".join(parts)
 
     def to_json(self) -> list:
@@ -635,10 +623,9 @@ def sqrt(value: RationalFunction | int | Fraction) -> RadicalCoefficient:
     rf = _as_rf(value)
     if rf.is_zero():
         raise ZeroRadicand("square root of zero")
-    poly = _p_mul(rf.num, rf.den)
-    mult, key = _canonical_sqrt(poly)
-    den = RationalFunction(rf.den)
-    return RadicalCoefficient({key: mult / den})
+    mult, key = _canonical_sqrt(_p_mul(rf.num, rf.den))
+    return RadicalCoefficient(
+        {key: mult / RationalFunction(rf.den, _ONE, _reduced=True)})
 
 
 # Convenience handles used throughout the package.

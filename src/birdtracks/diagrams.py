@@ -21,9 +21,7 @@ yields (13).
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
@@ -34,8 +32,7 @@ from .coefficients import (
     _RF_ONE,
     _UNIT_KEY,
     _as_radical,
-    _p_divmod,
-    _p_gcd,
+    _p_exquo,
     _p_mul,
     _trim,
 )
@@ -207,8 +204,7 @@ def _perm_inverse(perm: tuple[int, ...]) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def _n_power(k: int) -> RationalFunction:
-    coeffs = [Fraction(0)] * k + [Fraction(1)]
-    return RationalFunction.from_coeff_lists(coeffs)
+    return RationalFunction.from_coeff_lists([0] * k + [1])
 
 
 class InvariantElement:
@@ -357,17 +353,22 @@ class InvariantElement:
         """
         if not self.sig.is_operator():
             raise SignatureMismatch("bend is defined on operators")
-        # endpoint e becomes leg e: left legs keep their orientation,
-        # right legs flip
+        # endpoint e becomes a leg: left legs keep their orientation, right
+        # legs flip; order lists the endpoints in final leg order
+        k = self.sig.n_slots
         legs = self.sig.orientations + self.sig.orientations.translate(
             {ord(FUND): ANTI, ord(ANTI): FUND})
-        sig = Signature(legs, KET)
-        ket = InvariantElement(sig, {
-            PrimitiveDiagram(sig, _matching_to_ket_perm(legs, diag.matching())):
-            coeff for diag, coeff in self.terms.items()})
-        return ket.reorder_legs(
-            [e for e, o in enumerate(legs) if o == FUND]
-            + [e for e, o in enumerate(legs) if o == ANTI])
+        order = ([e for e, o in enumerate(legs) if o == FUND]
+                 + [e for e, o in enumerate(legs) if o == ANTI])
+        slot = _perm_inverse(tuple(order))
+        sig = ket_signature(k, k)
+        # distinct matchings give distinct kets, so no terms merge
+        terms = {}
+        for diag, coeff in self.terms.items():
+            pairs = diag.matching()
+            perm = tuple(slot[pairs[e]] for e in order[k:])
+            terms[PrimitiveDiagram(sig, perm)] = coeff
+        return InvariantElement(sig, terms)
 
     def reorder_legs(self, order: Iterable[int]) -> "InvariantElement":
         """Relabel slots so that new slot j is old slot order[j]."""
@@ -520,11 +521,11 @@ def inner_product(a: InvariantElement, b: InvariantElement) -> RadicalCoefficien
     ket diagram sigma onto ket diagram tau closes c(sigma^-1 tau) loops,
     the cycle count of sigma^-1 tau, so <sigma|tau> = N^c(sigma^-1 tau).
     Each ket is paired through its Gram form: per radicand r, the
-    multiplier of sqrt(r) on diagram sigma is s * P_sigma / D, with one
-    rational scale s, one integer polynomial D shared by the whole ket and
-    integer polynomials P_sigma.  Then
+    multiplier of sqrt(r) on diagram sigma is P_sigma / D, with one integer
+    polynomial D shared by all of the ket's sqrt(r) terms and integer
+    polynomials P_sigma.  Then
 
-        <a|b> = sum_{r1, r2} sqrt(r1) sqrt(r2) s_a s_b
+        <a|b> = sum_{r1, r2} sqrt(r1) sqrt(r2)
                   [sum_sigma P_sigma sum_tau Q_tau N^c(sigma^-1 tau)]
                   / (D_a D_b)
 
@@ -536,15 +537,12 @@ def inner_product(a: InvariantElement, b: InvariantElement) -> RadicalCoefficien
         return inner_product(a.bend(), b.bend())
     total = RadicalCoefficient.zero()
     b_form = _gram_form(b)
-    for key_a, scale_a, den_a, rows_a in _gram_form(a):
-        for key_b, scale_b, den_b, rows_b in b_form:
+    for key_a, den_a, rows_a in _gram_form(a):
+        for key_b, den_b, rows_b in b_form:
             bracket = _pair_rows(rows_a, rows_b)
             if not bracket:
                 continue
-            scale = scale_a * scale_b
-            mult = RationalFunction(
-                tuple(scale * c for c in bracket),
-                tuple(Fraction(c) for c in _int_poly_mul(den_a, den_b)))
+            mult = RationalFunction(bracket, _p_mul(den_a, den_b))
             term = RadicalCoefficient({key_a: mult})
             if key_b != _UNIT_KEY:
                 term = term * RadicalCoefficient({key_b: _RF_ONE})
@@ -555,10 +553,9 @@ def inner_product(a: InvariantElement, b: InvariantElement) -> RadicalCoefficien
 def _gram_form(ket: InvariantElement):
     """The ket's terms split by radicand, each over one common denominator.
 
-    A list of (radicand, scale, den, rows), rows holding one
+    A list of (radicand, den, rows), rows holding one
     (perm, inverse perm, num) per diagram: the multiplier of sqrt(radicand)
-    on that diagram is scale * num / den, with num and den integer
-    coefficient lists, lowest degree first.  Built once and kept on the ket.
+    on that diagram is num / den.  Built once and kept on the ket.
     """
     form = ket._gram
     if form is not None:
@@ -569,17 +566,15 @@ def _gram_form(ket: InvariantElement):
             by_key.setdefault(key, []).append((diag.perm, mult))
     form = []
     for key, items in by_key.items():
+        # the least common multiple of the denominators in Z[N]: reducing
+        # den / mult.den leaves mult.den over the gcd of the two
         den = _ONE
         for _, mult in items:
-            den = _p_mul(den, _p_divmod(mult.den, _p_gcd(den, mult.den))[0])
-        nums = [_p_mul(mult.num, _p_divmod(den, mult.den)[0])
-                for _, mult in items]
-        num_lcm = math.lcm(*(c.denominator for num in nums for c in num))
-        den_lcm = math.lcm(*(c.denominator for c in den))
-        rows = [(perm, _perm_inverse(perm), [int(c * num_lcm) for c in num])
-                for (perm, _), num in zip(items, nums)]
-        form.append((key, Fraction(den_lcm, num_lcm),
-                     [int(c * den_lcm) for c in den], rows))
+            den = _p_mul(den, RationalFunction(den, mult.den).den)
+        rows = [(perm, _perm_inverse(perm),
+                 _p_mul(mult.num, _p_exquo(den, mult.den)))
+                for perm, mult in items]
+        form.append((key, den, rows))
     object.__setattr__(ket, "_gram", form)
     return form
 
@@ -610,14 +605,6 @@ def _pair_rows(rows_a, rows_b) -> tuple[int, ...]:
                 for j, d in enumerate(inner, i):
                     out[j] += c * d
     return _trim(out)
-
-
-def _int_poly_mul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b, i):
-            out[j] += x * y
-    return out
 
 
 def tensor(a: InvariantElement, b: InvariantElement) -> InvariantElement:

@@ -13,9 +13,9 @@ and spots states that are dimensionally null.
 
 from dataclasses import dataclass, field, replace
 
-from .coefficients import RadicalCoefficient, sqrt
-from .diagrams import InvariantElement, inner_product, ketbra
-from .errors import OutOfRange
+from .coefficients import RadicalCoefficient, _p_eval, sqrt
+from .diagrams import InvariantElement, format_cycles, inner_product, ketbra
+from .errors import OutOfRange, PoleAtN
 from .numeric import exact_rank
 from .symmetrizers import builtin_orthogonal_basis
 from .tracebasis import normalized_trace_basis, raw_trace_states
@@ -183,14 +183,31 @@ def gram_matrix(states):
     return gram
 
 
+def _require_finite(named_states, n: int) -> None:
+    """Raise PoleAtN if a coefficient of a (name, state) pair has a pole
+    at N = n; each distinct denominator is evaluated once."""
+    at_n = {}
+    for name, state in named_states:
+        for diag, coeff in state.terms.items():
+            for mult in coeff.terms.values():
+                if mult.den not in at_n:
+                    at_n[mult.den] = _p_eval(mult.den, n)
+                if not at_n[mult.den]:
+                    raise PoleAtN(
+                        f"{name} has a pole at N={n} in the coefficient "
+                        f"of {format_cycles(diag.perm)}")
+
+
 def is_dimensionally_null(state: InvariantElement, n: int) -> bool:
     """Whether a ket vanishes at N = n.
 
     The inner product is positive definite at integer N >= 1, so the
     state is the zero tensor exactly when its norm evaluates to zero.
+    A state with a coefficient that has a pole at n raises PoleAtN.
     """
     if n < 1:
         raise OutOfRange("N must be a positive integer")
+    _require_finite([("the state", state)], n)
     parts = inner_product(state, state).eval_at(n)
     return all(value == 0 for value in parts.values())
 
@@ -199,10 +216,14 @@ def singlet_count(k: int, n: int, source: str = "trace") -> int:
     """Number of independent singlet states of Mixed(k,k) at N = n.
 
     Exact rank of the Gram matrix of the source states specialized at n.
+    A source state with a coefficient that has a pole at n does not
+    specialize, and raises PoleAtN.
     """
     if n < 1:
         raise OutOfRange("N must be a positive integer")
     states = basis_states(k, source)
+    _require_finite(((f"{source} state {i}", state)
+                     for i, state in enumerate(states)), n)
     gram = gram_matrix(states)
     rows = [[entry.eval_rational(n) for entry in row] for row in gram]
     return exact_rank(rows)

@@ -41,6 +41,15 @@ def test_eval_collapsed_rank_example(capsys):
     assert "singlet count for k=2 at N=1 (trace source): 1" in out
 
 
+def test_eval_at_a_pole_of_the_states_is_refused(capsys):
+    code, out, err = run(capsys, "eval", "--k", "4", "--N", "1",
+                         "--source", "trace+orthogonalize")
+    assert code == 2
+    assert out == ""
+    message = json.loads(err)["error"]["message"]
+    assert message.startswith("PoleAtN:") and "N=1" in message
+
+
 def test_eval_json_count(capsys):
     code, out, _ = run(capsys, "eval", "--k", "3", "--N", "2",
                        "--format", "json")

@@ -4,6 +4,9 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from birdtracks.coefficients import (
     N,
@@ -175,3 +178,106 @@ def test_equal_values_hash_equal():
     assert {RadicalCoefficient.from_rational(N): 0}.get(N) == 0
     assert {RadicalCoefficient.zero(): 0}.get(0) == 0
     assert hash(sqrt(4)) == hash(2)
+
+
+# -- properties against sympy -------------------------------------------------
+
+_X = sympy.Symbol("N")
+
+_coeff_lists = st.lists(st.integers(-6, 6), min_size=1, max_size=4)
+_nonzero_lists = _coeff_lists.filter(any)
+
+
+def _sym_poly(coeffs):
+    return sum(sympy.Rational(c) * _X ** i for i, c in enumerate(coeffs))
+
+
+def _cancelled_json(expr) -> dict:
+    """sympy.cancel's reduced form of expr, printed as to_json prints."""
+    num, den = (sympy.Poly(part, _X) for part in
+                sympy.fraction(sympy.cancel(expr)))
+    lead = den.LC()
+    return {"num": [str(c / lead) for c in reversed(num.all_coeffs())]
+            if not num.is_zero else [],
+            "den": [str(c / lead) for c in reversed(den.all_coeffs())]}
+
+
+@st.composite
+def rational_functions(draw):
+    num, den = draw(_coeff_lists), draw(_nonzero_lists)
+    return rf(num, den), _sym_poly(num) / _sym_poly(den)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_functions(), rational_functions())
+def test_field_ops_match_sympy_cancel(pa, pb):
+    (a, sa), (b, sb) = pa, pb
+    results = [(a + b, sa + sb), (a - b, sa - sb), (a * b, sa * sb)]
+    if not b.is_zero():
+        results.append((a / b, sa / sb))
+    for got, want in results:
+        assert got.to_json() == _cancelled_json(want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_coeff_lists, _nonzero_lists, _nonzero_lists)
+def test_equal_values_give_equal_json_and_hash(num, den, factor):
+    # num/den and (num*factor)/(den*factor) are one value written two ways
+    scale = _sym_poly(factor)
+
+    def times(coeffs):
+        poly = sympy.Poly(sympy.expand(_sym_poly(coeffs) * scale), _X)
+        return [int(c) for c in reversed(poly.all_coeffs())]
+
+    a, b = rf(num, den), rf(times(num), times(den))
+    assert a == b
+    assert a.to_json() == b.to_json()
+    assert hash(a) == hash(b)
+    ra = RadicalCoefficient.from_rational(a) * sqrt(rf([2, 1]))
+    rb = RadicalCoefficient.from_rational(b) * sqrt(rf([2, 1]))
+    assert ra.to_json() == rb.to_json() and hash(ra) == hash(rb)
+
+
+def _assert_squarefree_key(key):
+    poly = _sym_poly(key)
+    content, factors = sympy.sqf_list(poly)
+    assert key[-1] > 0
+    assert all(mult == 1 for _, mult in factors)
+    assert content > 0 and content.is_integer
+    assert all(e == 1 for e in sympy.factorint(int(content)).values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(_nonzero_lists, _nonzero_lists, _nonzero_lists)
+def test_sqrt_squares_back_with_squarefree_keys(num, den, square):
+    # a radicand with positive leading coefficient and a square factor
+    x = rf(num, den)
+    if x.to_json()["num"][-1].startswith("-"):
+        x = -x
+    x = x * rf(square) * rf(square)
+    root = sqrt(x)
+    assert root * root == RadicalCoefficient.from_rational(x)
+    for item in root.to_json():
+        _assert_squarefree_key(item["radicand"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_functions(),
+       st.one_of(st.integers(-5, 9), st.fractions(-4, 4, max_denominator=4)))
+def test_eval_at_matches_sympy_substitution(pa, n):
+    a, sa = pa
+    value, at = sympy.cancel(sa), sympy.Rational(n.numerator, n.denominator)
+    if sympy.denom(value).subs(_X, at) == 0:
+        with pytest.raises(PoleAtN):
+            a.eval_at(n)
+        return
+    want = value.subs(_X, at)
+    assert a.eval_at(n) == Fraction(int(sympy.numer(want)),
+                                    int(sympy.denom(want)))
+    if a.is_zero() or a.to_json()["num"][-1].startswith("-"):
+        return
+    # sqrt(a) at n, squared, is a at n (negative radicands stay formal)
+    parts = sqrt(a).eval_at(n)
+    total = sum(sympy.Rational(v.numerator, v.denominator) * sympy.sqrt(d)
+                for d, v in parts.items())
+    assert sympy.expand(total ** 2) == want

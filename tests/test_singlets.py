@@ -11,7 +11,7 @@ from birdtracks.diagrams import (
     operator_signature,
     zero,
 )
-from birdtracks.errors import BirdtrackError, OutOfRange, UnsupportedK
+from birdtracks.errors import BirdtrackError, OutOfRange, PoleAtN, UnsupportedK
 from birdtracks.numeric import apply_per_leg, evaluate, sample_special_unitary
 from birdtracks.singlets import (
     SingletOperator,
@@ -163,6 +163,20 @@ def test_singlet_counts():
     assert singlet_count(1, 1) == 1
     with pytest.raises(OutOfRange):
         singlet_count(2, 0)
+
+
+def test_singlet_count_refuses_states_with_a_pole():
+    # orthogonalized k=4 states 16, 20 and 22 carry coefficients with a
+    # pole at N=1, so they have no value there; their norms stay finite
+    # (-1, -3/2, -3/2), which is why ranking the Gram matrix alone gave 4
+    states = basis_states(4, "trace+orthogonalize")
+    with pytest.raises(PoleAtN, match="state 16 .*N=1"):
+        singlet_count(4, 1, "trace+orthogonalize")
+    for i in (16, 20, 22):
+        with pytest.raises(PoleAtN, match="N=1"):
+            is_dimensionally_null(states[i], 1)
+    assert not is_dimensionally_null(states[16], 2)
+    assert singlet_count(4, 1) == 1
 
 
 def test_orthogonalized_trace_pair_sums_to_subspace_projector():
