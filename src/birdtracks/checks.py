@@ -7,8 +7,6 @@ comparisons stay exact; floats appear only where sampled unitaries do.
 
 from fractions import Fraction
 
-import numpy as np
-
 from .coefficients import RadicalCoefficient, rf
 from .coefficients import sqrt as sqrt_coeff
 from .diagrams import (
@@ -171,6 +169,8 @@ def check_pieri_dimensions() -> bool:
 
 def check_unitary_invariance() -> bool:
     """Sampled group elements fix every k <= 3 trace state to 1e-10."""
+    import numpy as np
+
     for k in (1, 2, 3):
         states = raw_trace_states(k)
         for n in (2, 3):

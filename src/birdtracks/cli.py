@@ -7,9 +7,10 @@ exit with code 2 and a machine-readable JSON error on stderr; failed
 verification exits with code 1 the same way; success exits with 0.  A
 reader that closes stdout early ends the run with code 1 and no stderr.
 
-BIRDTRACK_THREADS, when set, must be a positive integer.  Evaluation is
-single-threaded, which respects any positive cap; a malformed value is
-rejected as a configuration error.
+BIRDTRACK_THREADS, when set, must be a positive integer; a malformed value
+is rejected as a configuration error.  The exact commands load no numpy and
+start no BLAS threads.  `correlator` and the float checks of `verify` import
+numpy, whose BLAS library may start its own thread pool.
 """
 
 import argparse
@@ -18,8 +19,6 @@ import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .checks import CHECKS, run_checks
 from .coefficients import RadicalCoefficient, RationalFunction
@@ -31,7 +30,14 @@ from .epsilon import (
 )
 from .errors import BirdtrackError
 from .numeric import correlator_matrix, sample_special_unitary
-from .singlets import SOURCES, basis_states, gram_matrix, singlet_count, singlet_table
+from .singlets import (
+    SOURCES,
+    _require_finite,
+    basis_states,
+    gram_matrix,
+    singlet_count,
+    singlet_table,
+)
 from .tracebasis import all_decompositions, normalized_trace_basis, raw_trace_states
 
 SCHEMA = "1"
@@ -105,6 +111,8 @@ class CommandConfig:
                     f"(available: {', '.join(sorted(known))})")
         if self.samples < 1:
             raise ConfigError("--samples must be at least 1")
+        if self.seed < 0:
+            raise ConfigError("--seed must be at least 0")
         if not self.tolerance > 0:
             raise ConfigError("--tolerance must be positive")
 
@@ -207,25 +215,31 @@ def _coefficient_table(element, caption: str) -> list[str]:
     return lines
 
 
-def _state_listing(states, labels, label_key: str):
-    """JSON records, text and LaTeX lines listing states with their norms.
+def _state_listing(states, labels, label_key: str, fmt: str,
+                   headers: dict[str, str]) -> list:
+    """JSON records, or text or LaTeX lines after headers[fmt], listing
+    states with their norms.
 
     label_key names the label's field in the JSON records.
     """
-    records, text, latex = [], [], []
+    out = [headers[fmt]] if fmt in headers else []
     for i, (label, state) in enumerate(zip(labels, states)):
         norm = inner_product(state, state)
-        records.append({"index": i, label_key: label,
+        if fmt == "json":
+            out.append({"index": i, label_key: label,
                         "squared_norm": norm.to_json(),
                         "element": state.to_json()})
-        text.append(f"state {i} [{label}]: squared norm {norm!r}")
-        text.append(f"  {state!r}")
-        latex.extend(_coefficient_table(state, f"state {i} [{label}]"))
-        latex.append(f"$\\langle {i}|{i}\\rangle = {_rad_latex(norm)}$")
-    return records, text, latex
+        elif fmt == "latex":
+            out.extend(_coefficient_table(state, f"state {i} [{label}]"))
+            out.append(f"$\\langle {i}|{i}\\rangle = {_rad_latex(norm)}$")
+        else:
+            out.append(f"state {i} [{label}]: squared norm {norm!r}")
+            out.append(f"  {state!r}")
+    return out
 
 
 # -- commands -----------------------------------------------------------------
+# Each returns (output, failure): the JSON payload or the lines of cfg.format.
 
 
 def _cmd_basis(cfg: CommandConfig):
@@ -234,38 +248,43 @@ def _cmd_basis(cfg: CommandConfig):
     states = basis_states(k, source)
     labels = ([d.to_text() for d in all_decompositions(k)]
               if source == "trace" else [str(i) for i in range(len(states))])
-    records, text, latex = _state_listing(states, labels, "label")
-    text.insert(0, f"singlet basis for k={k}, source={source}: "
-                   f"{len(states)} state(s)")
-    latex.insert(0, f"% singlet basis, k={k}, source={source}")
-    payload = {"schema": SCHEMA, "command": "basis", "k": k,
-               "source": source, "count": len(states), "states": records}
-    return payload, text, latex, None
+    listing = _state_listing(states, labels, "label", cfg.format, {
+        "text": f"singlet basis for k={k}, source={source}: "
+                f"{len(states)} state(s)",
+        "latex": f"% singlet basis, k={k}, source={source}"})
+    if cfg.format != "json":
+        return listing, None
+    return {"schema": SCHEMA, "command": "basis", "k": k, "source": source,
+            "count": len(states), "states": listing}, None
 
 
 def _cmd_gram(cfg: CommandConfig):
     k = cfg.k
     source = cfg.source or "builtin"
     states = basis_states(k, source)
-    gram = gram_matrix(states)
-    payload = {"schema": SCHEMA, "command": "gram", "k": k,
-               "source": source,
-               "entries": [[_value_json(e, cfg.N) for e in row]
-                           for row in gram]}
     if cfg.N is not None:
-        payload["N"] = cfg.N
-    text = [f"gram matrix for k={k}, source={source}"
-            + (f", N={cfg.N}" if cfg.N is not None else "")]
-    for row in gram:
-        text.append("  [" + ", ".join(_value_text(e, cfg.N) for e in row)
-                    + "]")
+        _require_finite(((f"{source} state {i}", state)
+                         for i, state in enumerate(states)), cfg.N)
+    gram = gram_matrix(states)
+    if cfg.format == "json":
+        payload = {"schema": SCHEMA, "command": "gram", "k": k,
+                   "source": source,
+                   "entries": [[_value_json(e, cfg.N) for e in row]
+                               for row in gram]}
+        if cfg.N is not None:
+            payload["N"] = cfg.N
+        return payload, None
+    if cfg.format == "text":
+        return [f"gram matrix for k={k}, source={source}"
+                + (f", N={cfg.N}" if cfg.N is not None else "")] + [
+            "  [" + ", ".join(_value_text(e, cfg.N) for e in row) + "]"
+            for row in gram], None
     latex = ["\\begin{pmatrix}"]
     for row in gram:
         cells = (_eval_str(e.eval_at(cfg.N), latex=True) if cfg.N is not None
                  else _rad_latex(e) for e in row)
         latex.append(" & ".join(cells) + " \\\\")
-    latex.append("\\end{pmatrix}")
-    return payload, text, latex, None
+    return latex + ["\\end{pmatrix}"], None
 
 
 def _cmd_singlets(cfg: CommandConfig):
@@ -273,16 +292,20 @@ def _cmd_singlets(cfg: CommandConfig):
     source = cfg.source or "builtin"
     table = singlet_table(k, source)
     size = len(table)
-    payload = {"schema": SCHEMA, "command": "singlets", "k": k,
-               "source": source, "size": size,
-               "operators": [[op.to_json() for op in row] for row in table]}
-    text = [f"singlet operator table for k={k}, source={source}: "
-            f"{size} projectors, {size * size - size} transitions"]
-    for i in range(size):
-        for j in range(size):
-            name = f"P{i + 1}" if i == j else f"T{i + 1}{j + 1}"
-            text.append(
-                f"{name:>5}  chi = {table[i][j].normalization!r}")
+    if cfg.format == "json":
+        return {"schema": SCHEMA, "command": "singlets", "k": k,
+                "source": source, "size": size,
+                "operators": [[op.to_json() for op in row]
+                              for row in table]}, None
+    if cfg.format == "text":
+        text = [f"singlet operator table for k={k}, source={source}: "
+                f"{size} projectors, {size * size - size} transitions"]
+        for i in range(size):
+            for j in range(size):
+                name = f"P{i + 1}" if i == j else f"T{i + 1}{j + 1}"
+                text.append(
+                    f"{name:>5}  chi = {table[i][j].normalization!r}")
+        return text, None
     latex = [f"% operator table, k={k}, source={source}",
              "\\begin{tabular}{c|" + "c" * size + "}",
              " & " + " & ".join(str(j + 1) for j in range(size)) + " \\\\",
@@ -296,36 +319,40 @@ def _cmd_singlets(cfg: CommandConfig):
         for j in range(i, size):
             chi = _rad_latex(table[i][j].normalization)
             latex.append(f"$\\chi_{{{i + 1}{j + 1}}} = {chi}$")
-    return payload, text, latex, None
+    return latex, None
 
 
 def _cmd_trace_basis(cfg: CommandConfig):
     k = cfg.k if cfg.k is not None else 3
-    if cfg.normalized:
-        ops = normalized_trace_basis(k)
+    if not cfg.normalized:
+        states = raw_trace_states(k)
+        listing = _state_listing(
+            states, [d.to_text() for d in all_decompositions(k)], "cycles",
+            cfg.format, {
+                "text": f"raw trace basis for k={k}: {len(states)} state(s)",
+                "latex": f"% raw trace basis, k={k}"})
+        if cfg.format != "json":
+            return listing, None
+        return {"schema": SCHEMA, "command": "trace-basis", "k": k,
+                "normalized": False, "states": listing}, None
+    ops = normalized_trace_basis(k)
+    if cfg.format == "json":
         records = [{"index": i, "normalization": op.normalization.to_json(),
                     "element": op.ket.to_json()}
                    for i, op in enumerate(ops)]
-        payload = {"schema": SCHEMA, "command": "trace-basis", "k": k,
-                   "normalized": True, "states": records}
-        text = [f"normalized trace basis for k={k}: {len(ops)} state(s)"]
-        latex = [f"% normalized trace basis, k={k}"]
-        for i, op in enumerate(ops):
-            text.append(f"state {i}: normalization "
-                        f"{op.normalization!r}")
-            text.append(f"  {op.ket!r}")
-            latex.extend(_coefficient_table(op.ket, f"state {i}"))
-            latex.append(f"$\\beta_{{{i}}} = "
+        return {"schema": SCHEMA, "command": "trace-basis", "k": k,
+                "normalized": True, "states": records}, None
+    lines = [f"normalized trace basis for k={k}: {len(ops)} state(s)"
+             if cfg.format == "text" else f"% normalized trace basis, k={k}"]
+    for i, op in enumerate(ops):
+        if cfg.format == "text":
+            lines.append(f"state {i}: normalization {op.normalization!r}")
+            lines.append(f"  {op.ket!r}")
+        else:
+            lines.extend(_coefficient_table(op.ket, f"state {i}"))
+            lines.append(f"$\\beta_{{{i}}} = "
                          f"{_rad_latex(op.normalization)}$")
-        return payload, text, latex, None
-    states = raw_trace_states(k)
-    records, text, latex = _state_listing(
-        states, [d.to_text() for d in all_decompositions(k)], "cycles")
-    text.insert(0, f"raw trace basis for k={k}: {len(states)} state(s)")
-    latex.insert(0, f"% raw trace basis, k={k}")
-    payload = {"schema": SCHEMA, "command": "trace-basis", "k": k,
-               "normalized": False, "states": records}
-    return payload, text, latex, None
+    return lines, None
 
 
 def _cmd_lr(cfg: CommandConfig):
@@ -334,10 +361,19 @@ def _cmd_lr(cfg: CommandConfig):
                for s in shapes]
     total = sum(r["dimension"] for r in records)
     expected = cfg.N ** (cfg.m + cfg.n)
-    payload = {"schema": SCHEMA, "command": "lr", "m": cfg.m, "n": cfg.n,
-               "N": cfg.N, "shapes": records, "total_dimension": total,
-               "expected_dimension": expected,
-               "conserved": total == expected}
+    fail = None if total == expected else "dimension count mismatch"
+    if cfg.format == "json":
+        return {"schema": SCHEMA, "command": "lr", "m": cfg.m, "n": cfg.n,
+                "N": cfg.N, "shapes": records, "total_dimension": total,
+                "expected_dimension": expected,
+                "conserved": total == expected}, fail
+    if cfg.format == "latex":
+        latex = ["\\begin{tabular}{ll}", "shape & dimension \\\\", "\\hline"]
+        for r in records:
+            rows = ",".join(str(x) for x in r["shape"])
+            latex.append(f"$[{rows}]$ & {r['dimension']} \\\\")
+        return latex + ["\\end{tabular}",
+                        f"% total {total}, expected {expected}"], fail
     text = [f"decomposition of {cfg.m} fundamental x {cfg.n} "
             f"antifundamental factors at N={cfg.N}: "
             f"{len(records)} shape(s)"]
@@ -345,89 +381,83 @@ def _cmd_lr(cfg: CommandConfig):
         text.append(f"  {r['shape']}  dimension {r['dimension']}")
     text.append(f"total dimension {total}, expected {expected}"
                 + ("" if total == expected else "  MISMATCH"))
-    latex = ["\\begin{tabular}{ll}", "shape & dimension \\\\", "\\hline"]
-    for r in records:
-        rows = ",".join(str(x) for x in r["shape"])
-        latex.append(f"$[{rows}]$ & {r['dimension']} \\\\")
-    latex.append("\\end{tabular}")
-    latex.append(f"% total {total}, expected {expected}")
-    fail = None if total == expected else "dimension count mismatch"
-    return payload, text, latex, fail
+    return text, fail
 
 
 def _cmd_transient(cfg: CommandConfig):
     params = transient_singlet_params(cfg.m, cfg.n, cfg.N)
-    payload = {"schema": SCHEMA, "command": "transient", "m": cfg.m,
-               "n": cfg.n, "N": cfg.N,
-               "solutions": [p.to_json() for p in params]}
-    text = [f"transient singlet parameters for m={cfg.m}, n={cfg.n}, "
-            f"N={cfg.N}: {len(params)} solution(s)"]
-    for p in params:
-        text.append(f"  a={p.a} b={p.b} k={p.k} alpha={p.alpha}")
-    latex = ["\\begin{tabular}{llll}", "$a$ & $b$ & $k$ & $\\alpha$ \\\\",
-             "\\hline"]
-    for p in params:
-        latex.append(f"{p.a} & {p.b} & {p.k} & {p.alpha} \\\\")
-    latex.append("\\end{tabular}")
-    return payload, text, latex, None
+    if cfg.format == "json":
+        return {"schema": SCHEMA, "command": "transient", "m": cfg.m,
+                "n": cfg.n, "N": cfg.N,
+                "solutions": [p.to_json() for p in params]}, None
+    if cfg.format == "latex":
+        return ["\\begin{tabular}{llll}",
+                "$a$ & $b$ & $k$ & $\\alpha$ \\\\", "\\hline"] + [
+            f"{p.a} & {p.b} & {p.k} & {p.alpha} \\\\" for p in params] + [
+            "\\end{tabular}"], None
+    return [f"transient singlet parameters for m={cfg.m}, n={cfg.n}, "
+            f"N={cfg.N}: {len(params)} solution(s)"] + [
+        f"  a={p.a} b={p.b} k={p.k} alpha={p.alpha}" for p in params], None
 
 
 def _cmd_eval(cfg: CommandConfig):
     source = cfg.source or "trace"
     count = singlet_count(cfg.k, cfg.N, source)
-    payload = {"schema": SCHEMA, "command": "eval", "k": cfg.k, "N": cfg.N,
-               "source": source, "count": count}
-    text = [f"singlet count for k={cfg.k} at N={cfg.N} "
-            f"({source} source): {count}"]
-    return payload, text, None, None
+    if cfg.format == "json":
+        return {"schema": SCHEMA, "command": "eval", "k": cfg.k, "N": cfg.N,
+                "source": source, "count": count}, None
+    return [f"singlet count for k={cfg.k} at N={cfg.N} "
+            f"({source} source): {count}"], None
 
 
 def _cmd_verify(cfg: CommandConfig):
     results = run_checks(cfg.checks or None)
     passed = sum(1 for _, ok in results if ok)
     failed = len(results) - passed
-    payload = {"schema": SCHEMA, "command": "verify",
-               "results": [{"name": name, "passed": ok}
-                           for name, ok in results],
-               "passed": passed, "failed": failed}
+    fail = None if failed == 0 else f"{failed} of {len(results)} checks failed"
+    if cfg.format == "json":
+        return {"schema": SCHEMA, "command": "verify",
+                "results": [{"name": name, "passed": ok}
+                            for name, ok in results],
+                "passed": passed, "failed": failed}, fail
     width = max(len(name) for name, _ in results)
     text = [f"{name:<{width}}  {'pass' if ok else 'FAIL'}"
             for name, ok in results]
     text.append(f"{passed} passed, {failed} failed")
-    fail = None if failed == 0 else f"{failed} of {len(results)} checks failed"
-    return payload, text, None, fail
+    return text, fail
 
 
 def _cmd_correlator(cfg: CommandConfig):
+    import numpy as np
+
     states = raw_trace_states(cfg.k)
     eye = np.eye(cfg.N, dtype=complex)
     base = correlator_matrix(states, [eye] * (2 * cfg.k), cfg.N)
-    samples = []
-    text = [f"correlator invariance for k={cfg.k} trace states at "
-            f"N={cfg.N}"]
-    worst = 0.0
-    for s in range(cfg.samples):
-        u = sample_special_unitary(cfg.N, cfg.seed + s)
+    runs = []
+    for seed in range(cfg.seed, cfg.seed + cfg.samples):
+        u = sample_special_unitary(cfg.N, seed)
         legs = [u] * cfg.k + [np.conj(u)] * cfg.k
         moved = correlator_matrix(states, legs, cfg.N)
-        residual = float(np.max(np.abs(moved - base)))
-        worst = max(worst, residual)
-        samples.append({
-            "seed": cfg.seed + s,
-            "residual": residual,
-            "matrix": [[[float(z.real), float(z.imag)] for z in row]
-                       for row in moved],
-        })
-        text.append(f"  seed {cfg.seed + s}: residual {residual:.3e}")
+        runs.append((seed, float(np.max(np.abs(moved - base))), moved))
+    worst = max([0.0] + [residual for _, residual, _ in runs])
     ok = worst <= cfg.tolerance
-    payload = {"schema": SCHEMA, "command": "correlator", "k": cfg.k,
-               "N": cfg.N, "seed": cfg.seed, "samples": samples,
-               "max_residual": worst, "tolerance": cfg.tolerance,
-               "passed": ok}
+    fail = None if ok else f"residual {worst:.3e} exceeds tolerance"
+    if cfg.format == "json":
+        samples = [{"seed": seed, "residual": residual,
+                    "matrix": [[[float(z.real), float(z.imag)] for z in row]
+                               for row in moved]}
+                   for seed, residual, moved in runs]
+        return {"schema": SCHEMA, "command": "correlator", "k": cfg.k,
+                "N": cfg.N, "seed": cfg.seed, "samples": samples,
+                "max_residual": worst, "tolerance": cfg.tolerance,
+                "passed": ok}, fail
+    text = [f"correlator invariance for k={cfg.k} trace states at "
+            f"N={cfg.N}"]
+    text.extend(f"  seed {seed}: residual {residual:.3e}"
+                for seed, residual, _ in runs)
     text.append(f"max residual {worst:.3e}, tolerance "
                 f"{cfg.tolerance:.1e}: {'pass' if ok else 'FAIL'}")
-    fail = None if ok else f"residual {worst:.3e} exceeds tolerance"
-    return payload, text, None, fail
+    return text, fail
 
 
 _COMMANDS = {
@@ -514,17 +544,13 @@ def main(argv=None) -> int:
             args.checks = tuple(args.checks)
         cfg = CommandConfig.from_args(args)
         cfg.validate()
-        payload, text, latex, fail = _COMMANDS[cfg.command](cfg)
+        output, fail = _COMMANDS[cfg.command](cfg)
     except ConfigError as exc:
         return _emit_error(2, str(exc))
     except BirdtrackError as exc:
         return _emit_error(2, f"{type(exc).__name__}: {exc}")
-    if cfg.format == "json":
-        rendered = json.dumps(payload, indent=2)
-    elif cfg.format == "latex":
-        rendered = "\n".join(latex)
-    else:
-        rendered = "\n".join(text)
+    rendered = (json.dumps(output, indent=2) if cfg.format == "json"
+                else "\n".join(output))
     if cfg.output:
         with open(cfg.output, "w", encoding="utf-8") as handle:
             handle.write(rendered + "\n")

@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .coefficients import rf
 from .diagrams import (
     _perm_sign,
@@ -382,6 +380,8 @@ def baryon_equivalence_report(n_param: int = 3) -> dict[str, bool]:
     # untwisting the diquark line transposes the epsilon legs on both
     # sides; each side flips sign, so the pairing is untouched
     legs["untwisted_variant_matches"] = eps_paired((3, 2)) == main
+
+    import numpy as np
 
     eps = epsilon_tensor(3).to_array()
     s_arr = st.to_array()

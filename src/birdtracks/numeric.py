@@ -2,6 +2,8 @@
 
 Everything rank- or nullity-shaped runs in exact rational arithmetic; floats
 appear only where unitary matrices do (sampled group elements, correlators).
+numpy is imported inside the float functions only, so exact work never
+loads it.
 Index placement: a fundamental leg transforms with U, an antifundamental leg
 with the complex conjugate matrix, so a ket on Mixed(k, k) is invariant
 under U applied to every leg this way.
@@ -12,12 +14,13 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .diagrams import FUND, InvariantElement
 from .errors import DimensionMismatch, OutOfRange
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DENSE_CAP = 10 ** 6
 
@@ -32,6 +35,8 @@ class ExactTensor:
         self.entries = {k: v for k, v in (entries or {}).items() if v}
 
     def to_array(self) -> np.ndarray:
+        import numpy as np
+
         out = np.zeros(self.shape, dtype=complex)
         for idx, val in self.entries.items():
             out[idx] = float(val)
@@ -129,6 +134,8 @@ def evaluate(element: InvariantElement, n: int) -> ExactTensor:
 
 def evaluate_float(element: InvariantElement, n: int) -> np.ndarray:
     """Dense complex tensor of an element at N = n; radicals allowed."""
+    import numpy as np
+
     if n < 1:
         raise OutOfRange(f"need n >= 1, got {n}")
     axes = _element_axes(element)
@@ -180,6 +187,10 @@ def sample_special_unitary(n: int, seed: int) -> np.ndarray:
     """
     if n < 2:
         raise OutOfRange(f"need n >= 2, got {n}")
+    if seed < 0:
+        raise OutOfRange(f"need seed >= 0, got {seed}")
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     q, r = np.linalg.qr(z)
@@ -192,6 +203,8 @@ def sample_special_unitary(n: int, seed: int) -> np.ndarray:
 
 def unitary_action(u: np.ndarray, orientations: str) -> np.ndarray:
     """The matrix of ⊗slots (U on 'q', conj(U) on 'b') in slot order."""
+    import numpy as np
+
     out = np.eye(1, dtype=complex)
     for o in orientations:
         out = np.kron(out, u if o == FUND else np.conj(u))
@@ -201,6 +214,8 @@ def unitary_action(u: np.ndarray, orientations: str) -> np.ndarray:
 def apply_per_leg(tensor: np.ndarray,
                   matrices: Sequence[np.ndarray]) -> np.ndarray:
     """Contract matrix i into axis i of the tensor, for every axis."""
+    import numpy as np
+
     if len(matrices) != tensor.ndim:
         raise DimensionMismatch(
             f"{len(matrices)} matrices for {tensor.ndim} axes")
@@ -219,6 +234,8 @@ def correlator_matrix(states: Sequence[InvariantElement],
     Fundamental legs expect the sampled U itself, antifundamental legs its
     complex conjugate; callers pass exactly what each leg should receive.
     """
+    import numpy as np
+
     if not states:
         return np.zeros((0, 0), dtype=complex)
     sig = states[0].sig
@@ -242,6 +259,8 @@ def correlator_matrix(states: Sequence[InvariantElement],
 
 def generalized_gell_mann(n: int) -> list[np.ndarray]:
     """Traceless Hermitian generators of su(n) with Tr(t^a t^b) = delta^ab."""
+    import numpy as np
+
     gens = []
     root_half = 1.0 / math.sqrt(2.0)
     for i in range(n):

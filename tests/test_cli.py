@@ -50,6 +50,17 @@ def test_eval_at_a_pole_of_the_states_is_refused(capsys):
     assert message.startswith("PoleAtN:") and "N=1" in message
 
 
+def test_gram_at_a_pole_of_the_states_is_refused(capsys):
+    code, out, err = run(capsys, "gram", "--k", "4", "--N", "1",
+                         "--source", "trace+orthogonalize", "--format", "json")
+    assert code == 2
+    assert out == ""
+    blob = json.loads(err)
+    assert blob["error"]["code"] == 2
+    message = blob["error"]["message"]
+    assert message.startswith("PoleAtN:") and "N=1" in message
+
+
 def test_eval_json_count(capsys):
     code, out, _ = run(capsys, "eval", "--k", "3", "--N", "2",
                        "--format", "json")
@@ -114,6 +125,16 @@ def test_correlator_impossible_tolerance_fails(capsys):
     assert blob["error"]["code"] == 1
 
 
+def test_negative_seed_is_config_error(capsys):
+    code, out, err = run(capsys, "correlator", "--k", "1", "--N", "2",
+                         "--seed", "-1")
+    assert code == 2
+    assert out == ""
+    blob = json.loads(err)
+    assert blob["error"]["code"] == 2
+    assert "--seed" in blob["error"]["message"]
+
+
 def test_verify_selected_checks(capsys):
     code, out, _ = run(capsys, "verify", "--check", "loop-factor",
                        "--check", "pieri-dimensions", "--format", "json")
@@ -170,6 +191,29 @@ def test_closed_stdout_exits_quietly():
     assert proc.wait(timeout=60) == 1
     assert b"Traceback" not in err
     assert err == b""
+
+
+def test_exact_commands_leave_numpy_unloaded():
+    # numpy is imported only on the float paths: correlator and the float
+    # checks of verify; a fresh interpreter shows what each command loads
+    script = """
+import sys
+import birdtracks, birdtracks.cli
+assert "numpy" not in sys.modules, "import"
+for argv in ("basis --k 2", "gram --k 2 --N 2", "singlets --k 2",
+             "trace-basis --k 2 --normalized", "lr --m 2 --n 1 --N 3",
+             "transient --m 3 --n 0 --N 3", "eval --k 2 --N 2",
+             "verify --check loop-factor"):
+    assert birdtracks.cli.main(argv.split()) == 0, argv
+    assert "numpy" not in sys.modules, argv
+assert birdtracks.cli.main("correlator --k 1 --N 2".split()) == 0
+assert "numpy" in sys.modules, "correlator"
+"""
+    src = os.path.dirname(os.path.dirname(birdtracks.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_lr_rejects_empty_product(capsys):

@@ -171,6 +171,11 @@ def test_sampled_unitary_is_special_and_seed_stable():
         assert np.max(np.abs(u - other)) > 1e-3
 
 
+def test_negative_seed_is_refused():
+    with pytest.raises(OutOfRange, match="seed"):
+        sample_special_unitary(2, seed=-1)
+
+
 def test_delta_ket_is_invariant():
     ket = identity(Signature("q")).bend()
     for n in (2, 3):
