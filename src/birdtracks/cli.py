@@ -2,8 +2,10 @@
 
 Output is deterministic: the same configuration and seed produce
 byte-identical output, and JSON payloads carry a "schema": "1" marker so
-they can be re-parsed and compared as values.  Configuration problems
-exit with code 2 and a machine-readable JSON error on stderr; failed
+they can be re-parsed and compared as values.  JSON output has the bytes
+json.dumps gives with indent=2, each shared container rendered once.
+Configuration problems, an --output path that cannot be written among
+them, exit with code 2 and a machine-readable JSON error on stderr; failed
 verification exits with code 1 the same way; success exits with 0.  A
 reader that closes stdout early ends the run with code 1 and no stderr.
 
@@ -115,9 +117,52 @@ class CommandConfig:
             raise ConfigError("--seed must be at least 0")
         if not self.tolerance > 0:
             raise ConfigError("--tolerance must be positive")
+        if self.output is not None:
+            if not self.output:
+                raise ConfigError("--output must name a file")
+            parent = os.path.dirname(self.output) or "."
+            if os.path.isdir(self.output):
+                raise ConfigError(f"--output {self.output} is a directory")
+            if not os.path.isdir(parent):
+                raise ConfigError(f"--output directory {parent} does not exist")
+            if not os.access(parent, os.W_OK):
+                raise ConfigError(f"--output directory {parent} is not writable")
 
 
 # -- rendering helpers --------------------------------------------------------
+
+_scalar_json = json.JSONEncoder().encode
+
+
+def _render_json(value) -> str:
+    """The text json.dumps gives for value with indent=2; keys must be str.
+
+    Each container's text is memoized by (id, depth) for this call, so a
+    ket shared by many operators is rendered once per depth; the payload
+    keeps every container alive, so no id is reused meanwhile.
+    """
+    memo = {}
+
+    def render(obj, depth):
+        if not isinstance(obj, (dict, list, tuple)):
+            return _scalar_json(obj)
+        key = (id(obj), depth)
+        text = memo.get(key)
+        if text is None:
+            pad = "\n" + "  " * (depth + 1)
+            if isinstance(obj, dict):
+                items = [_scalar_json(k) + ": " + render(v, depth + 1)
+                         for k, v in obj.items()]
+                ends = "{}"
+            else:
+                items = [render(v, depth + 1) for v in obj]
+                ends = "[]"
+            text = (ends[0] + pad + ("," + pad).join(items) + pad[:-2]
+                    + ends[1]) if items else ends
+            memo[key] = text
+        return text
+
+    return render(value, 0)
 
 
 def _frac_latex(x: Fraction) -> str:
@@ -549,11 +594,15 @@ def main(argv=None) -> int:
         return _emit_error(2, str(exc))
     except BirdtrackError as exc:
         return _emit_error(2, f"{type(exc).__name__}: {exc}")
-    rendered = (json.dumps(output, indent=2) if cfg.format == "json"
+    rendered = (_render_json(output) if cfg.format == "json"
                 else "\n".join(output))
     if cfg.output:
-        with open(cfg.output, "w", encoding="utf-8") as handle:
-            handle.write(rendered + "\n")
+        try:
+            with open(cfg.output, "w", encoding="utf-8") as handle:
+                handle.write(rendered + "\n")
+        except OSError as exc:
+            return _emit_error(2, f"cannot write --output {cfg.output}: "
+                                  f"{exc.strerror or exc}")
     else:
         try:
             print(rendered)

@@ -211,10 +211,12 @@ class InvariantElement:
     """A finite linear combination of primitive diagrams on one signature.
 
     Kets also carry their Gram form (see _gram_form), built on the first
-    inner product; equality, hashing and JSON ignore it.
+    inner product, and every element keeps the dict of its first to_json.
+    Equality and hashing ignore both; to_json returns the same dict on
+    every call, so callers share it and must not modify it.
     """
 
-    __slots__ = ("sig", "terms", "_gram")
+    __slots__ = ("sig", "terms", "_gram", "_json")
 
     def __init__(self, sig: Signature,
                  terms: Mapping[PrimitiveDiagram, RadicalCoefficient] | None = None):
@@ -229,6 +231,7 @@ class InvariantElement:
         object.__setattr__(self, "sig", sig)
         object.__setattr__(self, "terms", cleaned)
         object.__setattr__(self, "_gram", None)
+        object.__setattr__(self, "_json", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("InvariantElement is immutable")
@@ -393,11 +396,13 @@ class InvariantElement:
     # -- serialization --------------------------------------------------------
 
     def to_json(self) -> dict:
-        rows = []
-        for diag in sorted(self.terms, key=lambda d: d.perm):
-            rows.append({"perm": [p + 1 for p in diag.perm],
-                         "coeff": self.terms[diag].to_json()})
-        return {"signature": self.sig.to_json(), "terms": rows}
+        if self._json is None:
+            rows = [{"perm": [p + 1 for p in diag.perm],
+                     "coeff": self.terms[diag].to_json()}
+                    for diag in sorted(self.terms, key=lambda d: d.perm)]
+            object.__setattr__(self, "_json", {"signature": self.sig.to_json(),
+                                               "terms": rows})
+        return self._json
 
     @classmethod
     def from_json(cls, data: Mapping) -> "InvariantElement":

@@ -5,9 +5,11 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import birdtracks
-from birdtracks.cli import main
+from birdtracks.cli import _render_json, main
 
 
 def run(capsys, *argv):
@@ -250,6 +252,69 @@ def test_output_flag_writes_file(capsys, tmp_path):
     assert payload["states"][0]["label"] == "(1)(2)"
 
 
+# an empty name, a missing directory and a directory are refused before
+# computing; the full device accepts the open and fails the write
+@pytest.mark.parametrize("where", [
+    "", "missing/x.txt", ".",
+    pytest.param("/dev/full", marks=pytest.mark.skipif(
+        not os.path.exists("/dev/full"), reason="no /dev/full"))])
+def test_unwritable_output_is_exit_2(capsys, tmp_path, where):
+    code, out, err = run(capsys, "lr", "--m", "1", "--n", "1", "--N", "2",
+                         "--output", str(tmp_path / where) if where else "")
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"]["code"] == 2
+
+
+def test_output_file_has_the_stdout_bytes(capsys, tmp_path):
+    argv = ("singlets", "--k", "3", "--source", "builtin", "--format", "json")
+    target = tmp_path / "table.json"
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    code, empty, _ = run(capsys, *argv, "--output", str(target))
+    assert code == 0 and empty == ""
+    assert target.read_bytes() == out.encode()
+
+
+_json_strings = st.text(
+    st.sampled_from('"\\,:[{}] \x00\x1f\n\té\u2028\U0001d11e')
+    | st.characters(), max_size=6)
+_json_scalars = (st.none() | st.booleans()
+                 | st.integers(-10 ** 40, 10 ** 40) | st.floats()
+                 | st.sampled_from([float("nan"), float("inf"),
+                                    float("-inf"), -0.0])
+                 | _json_strings)
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.lists(inner, max_size=3).map(tuple)
+                   | st.dictionaries(_json_strings, inner, max_size=4)),
+    max_leaves=12)
+
+
+@st.composite
+def _shared_json(draw):
+    """A payload that holds one container at several depths, some equal."""
+    shared = draw(st.lists(_json_values, min_size=1, max_size=3)
+                  | st.dictionaries(_json_strings, _json_values,
+                                    min_size=1, max_size=3)
+                  | st.sampled_from([[], {}, ()]))
+    uses = []
+    for depth in draw(st.lists(st.integers(0, 3), min_size=2, max_size=4)):
+        value = shared
+        for as_dict in draw(st.lists(st.booleans(), min_size=depth,
+                                     max_size=depth)):
+            value = {"k": value} if as_dict else [value]
+        uses.append(value)
+    return {"tree": draw(_json_values), "uses": uses}
+
+
+@settings(max_examples=200, deadline=None)
+@given(_json_values | _shared_json())
+def test_render_json_matches_indented_dumps(value):
+    assert _render_json(value) == json.dumps(value, indent=2)
+
+
 def test_gram_evaluated_entries(capsys):
     code, out, _ = run(capsys, "gram", "--k", "3", "--source", "trace",
                        "--N", "2", "--format", "json")
@@ -279,6 +344,8 @@ def test_basis_latex_coefficient_rows(capsys):
      "bd8024bb712352f458b245de53e247df4e45f1f213c6d8076c83781c9429fcbb"),
     (("singlets", "--k", "3", "--source", "builtin"),
      "6eb95b9bb1a3c6fd79505db89bbb5f0a61c27717bea179c3db8cfa220ab5fd22"),
+    (("singlets", "--k", "4", "--source", "trace"),
+     "f63bd1f8c0c16c65312f0e7ac549e670505f2bee30df1c5ea1986dfc7aaba081"),
 ])
 def test_json_output_bytes_are_pinned(capsys, argv, digest):
     code, out, _ = run(capsys, *argv, "--format", "json")

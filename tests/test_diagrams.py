@@ -384,6 +384,17 @@ def test_json_round_trip():
     assert InvariantElement.from_json(ket.to_json()) == ket
 
 
+def test_json_dict_is_built_once_and_ignored_by_equality():
+    el = perm_op("qqb", "(1 2 3)").scaled(sqrt(Fraction(4, 3))) + perm_op(
+        "qqb", "e").scaled(rf([1, 1], [0, 0, 2]))
+    fresh = InvariantElement(el.sig, el.terms)
+    first = el.to_json()
+    assert el.to_json() is first
+    assert InvariantElement.from_json(el.to_json()) == el
+    assert el == fresh and hash(el) == hash(fresh)
+    assert fresh.to_json() == first
+
+
 def test_signature_validation():
     with pytest.raises(OutOfRange):
         Signature("qxq")
