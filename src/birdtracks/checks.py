@@ -106,17 +106,14 @@ def check_operator_algebra() -> bool:
 
 def check_singlet_counts() -> bool:
     """Exact Gram ranks, cross-checked against flattened-state ranks."""
-    expected = {
-        (1, 1): 1, (1, 2): 1, (1, 3): 1,
-        (2, 1): 1, (2, 2): 2, (2, 3): 2, (2, 4): 2,
-        (3, 1): 1, (3, 2): 5, (3, 3): 6, (3, 4): 6, (3, 5): 6,
-    }
-    for (k, n), count in expected.items():
-        if singlet_count(k, n, "trace") != count:
-            return False
-        oracle = exact_rank(state_matrix_rows(raw_trace_states(k), n))
-        if oracle != count:
-            return False
+    expected = {1: (1, 1, 1), 2: (1, 2, 2, 2), 3: (1, 5, 6, 6, 6)}
+    for k, counts in expected.items():
+        states = raw_trace_states(k)
+        for n, count in enumerate(counts, 1):
+            if singlet_count(k, n, "trace") != count:
+                return False
+            if exact_rank(state_matrix_rows(states, n)) != count:
+                return False
     return True
 
 

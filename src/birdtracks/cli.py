@@ -34,6 +34,7 @@ from .errors import BirdtrackError
 from .numeric import correlator_matrix, sample_special_unitary
 from .singlets import (
     SOURCES,
+    _denominators,
     _require_finite,
     basis_states,
     gram_matrix,
@@ -308,8 +309,8 @@ def _cmd_gram(cfg: CommandConfig):
     source = cfg.source or "builtin"
     states = basis_states(k, source)
     if cfg.N is not None:
-        _require_finite(((f"{source} state {i}", state)
-                         for i, state in enumerate(states)), cfg.N)
+        _require_finite(_denominators(states), cfg.N,
+                        lambda i: f"{source} state {i}")
     gram = gram_matrix(states)
     if cfg.format == "json":
         payload = {"schema": SCHEMA, "command": "gram", "k": k,

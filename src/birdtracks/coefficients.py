@@ -128,6 +128,15 @@ def _cancel(a: Poly, b: Poly) -> tuple[Poly, Poly]:
     return (a, b) if len(g) == 1 else (_p_exquo(a, g), _p_exquo(b, g))
 
 
+def _p_lcm(a: Poly, b: Poly) -> Poly:
+    """A common multiple of nonzero a and b that both divide with integral
+    quotients, least up to a constant factor.
+
+    Reducing a / b leaves b over the gcd of the two.
+    """
+    return _p_mul(a, RationalFunction(a, b).den)
+
+
 def _p_deriv(a: Poly) -> Poly:
     return _trim([i * c for i, c in enumerate(a)][1:])
 
@@ -351,9 +360,18 @@ _RF_N = RationalFunction((0, 1), _ONE, _reduced=True)
 @lru_cache(maxsize=1 << 18)
 def _rf_add(num1: Poly, den1: Poly, num2: Poly, den2: Poly) -> RationalFunction:
     # results are immutable, and the same coefficient pairs come up again
-    # and again when composing diagram sums, so sharing them pays off
-    num = _p_add(_p_mul(num1, den2), _p_mul(num2, den1))
-    return RationalFunction(num, _p_mul(den1, den2))
+    # and again when composing diagram sums, so sharing them pays off.
+    # With g = gcd(den1, den2) and den_i = g * e_i, the sum is
+    # (num1 e2 + num2 e1) / (g e1 e2); the inputs are reduced, so the
+    # numerator shares no factor with e1 e2, and only g is left to cancel
+    g = _p_gcd(den1, den2)
+    e1, e2 = _p_exquo(den1, g), _p_exquo(den2, g)
+    num = _p_add(_p_mul(num1, e2), _p_mul(num2, e1))
+    if not num:
+        return _RF_ZERO
+    num, g = _cancel(num, g)
+    return RationalFunction(*_unit_normal(num, _p_mul(_p_mul(e1, e2), g)),
+                            _reduced=True)
 
 
 @lru_cache(maxsize=1 << 18)

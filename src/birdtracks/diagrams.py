@@ -33,6 +33,7 @@ from .coefficients import (
     _UNIT_KEY,
     _as_radical,
     _p_exquo,
+    _p_lcm,
     _p_mul,
     _trim,
 )
@@ -571,11 +572,9 @@ def _gram_form(ket: InvariantElement):
             by_key.setdefault(key, []).append((diag.perm, mult))
     form = []
     for key, items in by_key.items():
-        # the least common multiple of the denominators in Z[N]: reducing
-        # den / mult.den leaves mult.den over the gcd of the two
         den = _ONE
         for _, mult in items:
-            den = _p_mul(den, RationalFunction(den, mult.den).den)
+            den = _p_lcm(den, mult.den)
         rows = [(perm, _perm_inverse(perm),
                  _p_mul(mult.num, _p_exquo(den, mult.den)))
                 for perm, mult in items]

@@ -12,6 +12,7 @@ and spots states that are dimensionally null.
 """
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 from .coefficients import RadicalCoefficient, _p_eval, sqrt
 from .diagrams import InvariantElement, format_cycles, inner_product, ketbra
@@ -73,10 +74,14 @@ def singlet_state(operator: InvariantElement) -> InvariantElement:
     return operator.bend()
 
 
-def _ket_projector(ket: InvariantElement,
-                   labels: tuple = ()) -> SingletOperator:
-    """The normalized projector onto a ket; zero if the ket's norm is."""
-    norm = inner_product(ket, ket)
+def _ket_projector(ket: InvariantElement, labels: tuple = (),
+                   norm: RadicalCoefficient | None = None) -> SingletOperator:
+    """The normalized projector onto a ket; zero if the ket's norm is.
+
+    norm is <ket|ket>, computed here unless the caller already has it.
+    """
+    if norm is None:
+        norm = inner_product(ket, ket)
     beta = RadicalCoefficient.zero() if norm.is_zero() else 1 / norm
     return SingletOperator(ket=ket, bra=ket, normalization=beta,
                            kind=PROJECTOR, labels=labels)
@@ -161,13 +166,16 @@ def singlet_table(k: int = 3, source: str = "builtin"):
     """The full table of projectors and transitions over one basis.
 
     Entry [i][j] is the projector for i == j and the transition operator
-    from state j to state i otherwise.
+    from state j to state i otherwise.  T_ij and T_ji share one weight.
     """
     basis = singlet_basis(k, source)
-    return [[replace(row_op, labels=(i, i)) if i == j
-             else _transition(row_op, col_op, (i, j))
-             for j, col_op in enumerate(basis)]
-            for i, row_op in enumerate(basis)]
+    table = [[None] * len(basis) for _ in basis]
+    for i, row_op in enumerate(basis):
+        table[i][i] = replace(row_op, labels=(i, i))
+        for j in range(i + 1, len(basis)):
+            table[i][j] = _transition(row_op, basis[j], (i, j))
+            table[j][i] = table[i][j].dagger()
+    return table
 
 
 def gram_matrix(states):
@@ -183,19 +191,31 @@ def gram_matrix(states):
     return gram
 
 
-def _require_finite(named_states, n: int) -> None:
-    """Raise PoleAtN if a coefficient of a (name, state) pair has a pole
-    at N = n; each distinct denominator is evaluated once."""
-    at_n = {}
-    for name, state in named_states:
+def _denominators(states) -> tuple:
+    """The distinct coefficient denominators of a family of states.
+
+    Pairs (den, (state index, diagram)) in first-occurrence order, each
+    with the first term whose coefficient has that denominator.
+    """
+    first = {}
+    for i, state in enumerate(states):
         for diag, coeff in state.terms.items():
             for mult in coeff.terms.values():
-                if mult.den not in at_n:
-                    at_n[mult.den] = _p_eval(mult.den, n)
-                if not at_n[mult.den]:
-                    raise PoleAtN(
-                        f"{name} has a pole at N={n} in the coefficient "
-                        f"of {format_cycles(diag.perm)}")
+                first.setdefault(mult.den, (i, diag))
+    return tuple(first.items())
+
+
+def _require_finite(denominators, n: int, name) -> None:
+    """Raise PoleAtN if one of _denominators' entries vanishes at N = n.
+
+    The message names the first such term: name(state index) and its
+    diagram.
+    """
+    for den, (i, diag) in denominators:
+        if not _p_eval(den, n):
+            raise PoleAtN(
+                f"{name(i)} has a pole at N={n} in the coefficient "
+                f"of {format_cycles(diag.perm)}")
 
 
 def is_dimensionally_null(state: InvariantElement, n: int) -> bool:
@@ -207,9 +227,33 @@ def is_dimensionally_null(state: InvariantElement, n: int) -> bool:
     """
     if n < 1:
         raise OutOfRange("N must be a positive integer")
-    _require_finite([("the state", state)], n)
+    _require_finite(_denominators([state]), n, lambda i: "the state")
     parts = inner_product(state, state).eval_at(n)
     return all(value == 0 for value in parts.values())
+
+
+# singlet_count keeps, per (k, source), the states, their denominators and
+# their symbolic Gram matrix for the life of the process: a count at any N
+# is that one matrix specialised at N.
+
+@lru_cache(maxsize=None)
+def _count_states(k: int, source: str) -> tuple:
+    return tuple(basis_states(k, source))
+
+
+@lru_cache(maxsize=None)
+def _count_denominators(k: int, source: str) -> tuple:
+    return _denominators(_count_states(k, source))
+
+
+@lru_cache(maxsize=None)
+def _count_gram(k: int, source: str) -> tuple:
+    """The Gram matrix as (distinct entries, rows of indices into them)."""
+    distinct = {}
+    index = tuple(tuple(distinct.setdefault(entry, len(distinct))
+                        for entry in row)
+                  for row in gram_matrix(_count_states(k, source)))
+    return tuple(distinct), index
 
 
 def singlet_count(k: int, n: int, source: str = "trace") -> int:
@@ -221,9 +265,8 @@ def singlet_count(k: int, n: int, source: str = "trace") -> int:
     """
     if n < 1:
         raise OutOfRange("N must be a positive integer")
-    states = basis_states(k, source)
-    _require_finite(((f"{source} state {i}", state)
-                     for i, state in enumerate(states)), n)
-    gram = gram_matrix(states)
-    rows = [[entry.eval_rational(n) for entry in row] for row in gram]
-    return exact_rank(rows)
+    _require_finite(_count_denominators(k, source), n,
+                    lambda i: f"{source} state {i}")
+    entries, index = _count_gram(k, source)
+    values = [entry.eval_rational(n) for entry in entries]
+    return exact_rank([[values[j] for j in row] for row in index])

@@ -13,7 +13,18 @@ combinations that appear at k = 3, and normalized projector families.
 import itertools
 from fractions import Fraction
 
-from .coefficients import RadicalCoefficient, RationalFunction, rf
+from .coefficients import (
+    RadicalCoefficient,
+    RationalFunction,
+    _ONE,
+    _RF_ONE,
+    _RF_ZERO,
+    _p_add,
+    _p_exquo,
+    _p_lcm,
+    _p_mul,
+    rf,
+)
 from .diagrams import (
     InvariantElement,
     PrimitiveDiagram,
@@ -253,21 +264,102 @@ def raw_trace_states(k: int):
 def normalized_trace_basis(k: int):
     """k! singlet projectors built from orthogonalized trace states.
 
-    The states are Gram-Schmidt orthogonalized in all_decompositions
-    order.  For k = 3 the two 3-cycle states are first replaced by their
-    sum and difference, reproducing the xi-pattern normalizations; the
+    The states are orthogonalized in all_decompositions order, which is
+    what Gram-Schmidt would give, but from their Gram matrix G alone: G
+    factors as L D L^T over Q(N) with L unit lower triangular, ket i is
+    row i of L^-1 applied to the states, and its norm is the pivot D_i.
+    For k = 3 the two 3-cycle states are first replaced by their
+    difference and sum, reproducing the xi-pattern normalizations; the
     family is then already orthogonal and passes through unchanged.
     """
-    from .singlets import _ket_projector
-    from .symmetrizers import gram_schmidt
+    from .singlets import _ket_projector, gram_matrix
 
     states = raw_trace_states(k)
     if k == 3:
         s123, s132 = states[4], states[5]
         states[4] = s123 - s132
         states[5] = s123 + s132
-    states, dropped = gram_schmidt(states)
-    if dropped:
-        raise InvalidDecomposition(
-            "trace states are linearly dependent over Q(N)")
-    return [_ket_projector(ket, labels=(i,)) for i, ket in enumerate(states)]
+    gram = [[entry.rational_part() for entry in row]
+            for row in gram_matrix(states)]
+    lower, pivots = _ldl(gram)
+    kets = _combine(_unit_lower_inverse(lower), states)
+    return [_ket_projector(ket, labels=(i,),
+                           norm=RadicalCoefficient.from_rational(pivot))
+            for i, (ket, pivot) in enumerate(zip(kets, pivots))]
+
+
+def _ldl(gram):
+    """G = L D L^T for a symmetric matrix over Q(N); returns (L, D).
+
+    L is unit lower triangular, given by its rows below the diagonal.  A
+    zero pivot means a state depends on its predecessors.
+    """
+    lower, pivots = [], []
+    for i, row in enumerate(gram):
+        scaled = []  # L_ij D_j
+        for j in range(i):
+            scaled.append(row[j] - _dot(scaled, lower[j]))
+        coeffs = [e / d for e, d in zip(scaled, pivots)]
+        pivot = row[i] - _dot(scaled, coeffs)
+        if pivot.is_zero():
+            raise InvalidDecomposition(
+                "trace states are linearly dependent over Q(N)")
+        lower.append(coeffs)
+        pivots.append(pivot)
+    return lower, pivots
+
+
+def _unit_lower_inverse(lower):
+    """Rows of L^-1 for L given as by _ldl: M_i = e_i - sum_j L_ij M_j."""
+    inverse = []
+    for coeffs in lower:
+        inverse.append([-_dot(coeffs[j:], [row[j] for row in inverse[j:]])
+                        for j in range(len(coeffs))] + [_RF_ONE])
+    return inverse
+
+
+def _dot(a, b) -> RationalFunction:
+    """sum_m a_m b_m, skipping the zero terms."""
+    total = _RF_ZERO
+    for x, y in zip(a, b):
+        if not (x.is_zero() or y.is_zero()):
+            total = total + x * y
+    return total
+
+
+def _combine(rows, states):
+    """The kets sum_j rows[i][j] * states[j], for states with rational
+    coefficients.
+
+    Each ket is summed in integer polynomials over one denominator, that
+    of its row times that of all the states, and each of its coefficients
+    is reduced once.
+    """
+    state_den = _ONE
+    for state in states:
+        for coeff in state.terms.values():
+            state_den = _p_lcm(state_den, coeff.rational_part().den)
+    scaled = []
+    for state in states:
+        terms = {}
+        for diag, coeff in state.terms.items():
+            value = coeff.rational_part()
+            terms[diag] = _p_mul(value.num, _p_exquo(state_den, value.den))
+        scaled.append(terms)
+    kets = []
+    for row in rows:
+        den = _ONE
+        for m in row:
+            den = _p_lcm(den, m.den)
+        sums = {}
+        for m, terms in zip(row, scaled):
+            if m.is_zero():
+                continue
+            factor = _p_mul(m.num, _p_exquo(den, m.den))
+            for diag, num in terms.items():
+                sums[diag] = _p_add(sums.get(diag, ()), _p_mul(factor, num))
+        den = _p_mul(den, state_den)
+        kets.append(InvariantElement(states[0].sig, {
+            diag: RadicalCoefficient.from_rational(RationalFunction(num, den))
+            for diag, num in sums.items()}))
+    return kets

@@ -50,6 +50,15 @@ def test_field_ops_small():
     assert 1 / (a * b) == rf([1], [-1, 0, 1])
 
 
+def test_sum_cancels_a_shared_denominator_factor():
+    # 1/(N(N-1)) + 1/(N(N+1)) = 2N/(N(N^2-1)) = 2/(N^2-1)
+    assert rf([1], [0, -1, 1]) + rf([1], [0, 1, 1]) == rf([2], [-1, 0, 1])
+    # 1/(N^2(N-1)) - 1/(N^2(N+1)) = 2/(N^2(N^2-1))
+    assert (rf([1], [0, 0, -1, 1]) - rf([1], [0, 0, 1, 1])
+            == rf([2], [0, 0, -1, 0, 1]))
+    assert rf([1], [0, 2]) - rf([3], [0, 6]) == 0
+
+
 def test_field_axioms_random():
     rng = random.Random(7)
 
@@ -217,6 +226,24 @@ def test_field_ops_match_sympy_cancel(pa, pb):
         results.append((a / b, sa / sb))
     for got, want in results:
         assert got.to_json() == _cancelled_json(want)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_coeff_lists, _coeff_lists, _nonzero_lists, _nonzero_lists,
+       _nonzero_lists)
+def test_sums_over_a_shared_denominator_factor_match_sympy(num1, num2, shared,
+                                                           rest1, rest2):
+    # the two denominators share the factor `shared`, which a sum may cancel
+    den1 = sympy.expand(_sym_poly(shared) * _sym_poly(rest1))
+    den2 = sympy.expand(_sym_poly(shared) * _sym_poly(rest2))
+
+    def coeffs(poly):
+        return [int(c) for c in reversed(sympy.Poly(poly, _X).all_coeffs())]
+
+    a, b = rf(num1, coeffs(den1)), rf(num2, coeffs(den2))
+    sa, sb = _sym_poly(num1) / den1, _sym_poly(num2) / den2
+    assert (a + b).to_json() == _cancelled_json(sa + sb)
+    assert (a - b).to_json() == _cancelled_json(sa - sb)
 
 
 @settings(max_examples=60, deadline=None)

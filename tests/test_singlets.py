@@ -1,8 +1,10 @@
+import math
 import random
 
 import numpy as np
 import pytest
 
+from birdtracks import singlets
 from birdtracks.coefficients import RadicalCoefficient, rf
 from birdtracks.diagrams import (
     compose,
@@ -177,6 +179,68 @@ def test_singlet_count_refuses_states_with_a_pole():
             is_dimensionally_null(states[i], 1)
     assert not is_dimensionally_null(states[16], 2)
     assert singlet_count(4, 1) == 1
+
+
+def _shapes(k, largest=None):
+    """The partitions of k with parts at most largest."""
+    if k == 0:
+        yield ()
+        return
+    for first in range(min(k, largest or k), 0, -1):
+        for rest in _shapes(k - first, first):
+            yield (first,) + rest
+
+
+def _hook_length_count(k, n):
+    """Sum of f_shape^2 over the shapes of k with at most n rows."""
+    total = 0
+    for shape in _shapes(k):
+        if len(shape) > n:
+            continue
+        hooks = 1
+        for i, row in enumerate(shape):
+            for j in range(row):
+                below = sum(1 for r in shape[i + 1:] if r > j)
+                hooks *= row - j + below
+        total += (math.factorial(k) // hooks) ** 2
+    return total
+
+
+def test_cached_singlet_counts_match_hook_lengths():
+    queries = [(k, n, source) for k in (1, 2, 3, 4) for n in range(1, 9)
+               for source in ("builtin", "trace", "trace+orthogonalize")
+               if (source != "builtin" or k <= 3)
+               and (k, n, source) != (4, 1, "trace+orthogonalize")]
+    random.Random(11).shuffle(queries)
+    for k, n, source in queries:
+        want = _hook_length_count(k, n)
+        assert singlet_count(k, n, source) == want, (k, n, source)
+        assert singlet_count(k, n, source) == want, (k, n, source)
+
+
+def test_pole_check_precedes_and_survives_the_cached_gram():
+    for cache in (singlets._count_states, singlets._count_denominators,
+                  singlets._count_gram):
+        cache.cache_clear()
+    with pytest.raises(PoleAtN, match="state 16 .*N=1"):
+        singlet_count(4, 1, "trace+orthogonalize")
+    assert singlets._count_gram.cache_info().currsize == 0
+    assert singlet_count(4, 2, "trace+orthogonalize") == 14
+    with pytest.raises(PoleAtN, match="state 16 .*N=1"):
+        singlet_count(4, 1, "trace+orthogonalize")
+
+
+def test_gram_matrix_returns_fresh_lists():
+    singlet_count(2, 2)
+    states = basis_states(2, "trace")
+    first, second = gram_matrix(states), gram_matrix(states)
+    assert isinstance(first, list) and all(isinstance(r, list) for r in first)
+    assert first == second and first is not second
+    assert all(a is not b for a, b in zip(first, second))
+    first[0][0] = None
+    first.append([])
+    assert gram_matrix(states) == second
+    assert singlet_count(2, 2) == 2
 
 
 def test_orthogonalized_trace_pair_sums_to_subspace_projector():

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from birdtracks import tracebasis
 from birdtracks.coefficients import RadicalCoefficient, rf
 from birdtracks.diagrams import (
     Signature,
@@ -15,6 +16,8 @@ from birdtracks.diagrams import (
 )
 from birdtracks.errors import InvalidDecomposition, OutOfRange
 from birdtracks.numeric import evaluate, exact_rank, generalized_gell_mann
+from birdtracks.singlets import _ket_projector
+from birdtracks.symmetrizers import gram_schmidt
 from birdtracks.tracebasis import (
     CycleDecomposition,
     adjoint_pair_diagram,
@@ -298,3 +301,35 @@ def test_normalized_trace_basis_small_k():
     assert inner_product(states[0], states[1]).is_zero()
     assert inner_product(states[0], states[0]) == rc([0, 0, 1])
     assert inner_product(states[1], states[1]) == rc([-1, 0, 1])
+
+
+def reference_normalized_trace_basis(k):
+    """normalized_trace_basis by Gram-Schmidt on whole states."""
+    states = raw_trace_states(k)
+    if k == 3:
+        s123, s132 = states[4], states[5]
+        states[4] = s123 - s132
+        states[5] = s123 + s132
+    states, dropped = gram_schmidt(states)
+    assert not dropped
+    return [_ket_projector(ket, labels=(i,)) for i, ket in enumerate(states)]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_normalized_trace_basis_matches_gram_schmidt(k):
+    got = normalized_trace_basis(k)
+    want = reference_normalized_trace_basis(k)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.ket.terms == b.ket.terms
+        assert a.normalization == b.normalization
+        assert a.labels == b.labels and a.kind == b.kind
+        assert a.bra == a.ket
+
+
+def test_dependent_trace_states_are_refused(monkeypatch):
+    e, swap = raw_trace_states(2)
+    monkeypatch.setattr(tracebasis, "raw_trace_states",
+                        lambda k: [e, swap, e.scaled(2) - swap])
+    with pytest.raises(InvalidDecomposition, match="linearly dependent"):
+        normalized_trace_basis(2)
