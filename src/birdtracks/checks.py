@@ -29,8 +29,8 @@ from .numeric import (
     evaluate,
     evaluate_float,
     exact_rank,
+    integer_entries,
     sample_special_unitary,
-    state_matrix_rows,
 )
 from .singlets import rank_one_product, singlet_count, singlet_table
 from .symmetrizers import builtin_orthogonal_basis
@@ -112,9 +112,20 @@ def check_singlet_counts() -> bool:
         for n, count in enumerate(counts, 1):
             if singlet_count(k, n, "trace") != count:
                 return False
-            if exact_rank(state_matrix_rows(states, n)) != count:
+            if _flattened_rank(states, n) != count:
                 return False
     return True
+
+
+def _flattened_rank(states, n) -> int:
+    """Exact rank of the states flattened to rows at N = n.
+
+    Each row holds a state's integer entries over its own denominator, on
+    the columns where some state is nonzero; neither changes the rank.
+    """
+    rows = [integer_entries(state, n)[1] for state in states]
+    columns = set().union(*rows)
+    return exact_rank([[row.get(c, 0) for c in columns] for row in rows])
 
 
 def check_loop_factor() -> bool:
@@ -201,20 +212,19 @@ def _radical_dot(a, b, n):
     The same {squarefree radicand: rational} layout RadicalCoefficient
     evaluation produces, so results compare exactly.
     """
+    parts_b = [(root, integer_entries(part, n))
+               for root, part in _radical_parts(b)]
     out = {}
     for root_a, part_a in _radical_parts(a):
-        left = evaluate(part_a, n).entries
-        for root_b, part_b in _radical_parts(b):
-            right = evaluate(part_b, n).entries
-            total = Fraction(0)
-            for key, val in left.items():
-                other = right.get(key)
-                if other is not None:
-                    total += val * other
+        den_a, left = integer_entries(part_a, n)
+        for root_b, (den_b, right) in parts_b:
+            total = sum(left[key] * right[key]
+                        for key in left.keys() & right.keys())
             if not total:
                 continue
+            dot = Fraction(total, den_a * den_b)
             for d, w in (root_a * root_b).eval_at(n).items():
-                out[d] = out.get(d, Fraction(0)) + total * w
+                out[d] = out.get(d, Fraction(0)) + dot * w
     return {d: v for d, v in out.items() if v != 0}
 
 

@@ -418,10 +418,13 @@ RadicandKey = tuple[int, ...]
 _UNIT_KEY: RadicandKey = (1,)
 
 
+@lru_cache(maxsize=1 << 12)
 def _canonical_sqrt(p: Poly) -> tuple[RationalFunction, RadicandKey]:
     """Split sqrt(p) into multiplier * sqrt(key) with a canonical key.
 
     p is a nonzero integer polynomial with positive leading coefficient.
+    Products of radicands repeat a handful of polynomials, so the results
+    are cached.
     """
     if p[-1] < 0:
         raise OutOfRange(

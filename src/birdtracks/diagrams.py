@@ -23,6 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .coefficients import (
@@ -116,18 +117,21 @@ class PrimitiveDiagram:
         if sorted(self.perm) != list(range(size)):
             raise OutOfRange(f"{self.perm} is not a permutation of 0..{size - 1}")
 
-    def matching(self) -> dict[int, int]:
-        """The physical endpoint pairing, as a symmetric dict.
+    def matching(self) -> Mapping[int, int]:
+        """The physical endpoint pairing, as a symmetric read-only mapping.
 
         Operators: endpoints 0..k-1 are the left side, k..2k-1 the right.
-        Kets: endpoints are the slots themselves.
+        Kets: endpoints are the slots themselves.  Each pairing is built
+        once per (orientations, perm) and shared by every caller.
         """
         if self.sig.is_operator():
             return _operator_matching(self.sig.orientations, self.perm)
         return _ket_matching(self.sig.orientations, self.perm)
 
 
-def _operator_matching(orients: str, perm: tuple[int, ...]) -> dict[int, int]:
+@lru_cache(maxsize=1 << 14)
+def _operator_matching(orients: str,
+                       perm: tuple[int, ...]) -> Mapping[int, int]:
     k = len(orients)
     pairs = {}
     for a in range(k):
@@ -136,10 +140,11 @@ def _operator_matching(orients: str, perm: tuple[int, ...]) -> dict[int, int]:
         dst = b if orients[b] == FUND else k + b          # Q(perm[a])
         pairs[src] = dst
         pairs[dst] = src
-    return pairs
+    return MappingProxyType(pairs)
 
 
-def _ket_matching(orients: str, perm: tuple[int, ...]) -> dict[int, int]:
+@lru_cache(maxsize=1 << 14)
+def _ket_matching(orients: str, perm: tuple[int, ...]) -> Mapping[int, int]:
     fund_slots = [i for i, o in enumerate(orients) if o == FUND]
     anti_slots = [i for i, o in enumerate(orients) if o == ANTI]
     pairs = {}
@@ -147,7 +152,7 @@ def _ket_matching(orients: str, perm: tuple[int, ...]) -> dict[int, int]:
         f_slot = fund_slots[perm[j]]
         pairs[a_slot] = f_slot
         pairs[f_slot] = a_slot
-    return pairs
+    return MappingProxyType(pairs)
 
 
 def _matching_to_ket_perm(orients: str, pairs: Mapping[int, int]) -> tuple[int, ...]:
@@ -583,25 +588,36 @@ def _gram_form(ket: InvariantElement):
     return form
 
 
+# c(sigma^-1 tau) by sigma^-1, then by tau.  Keys are permutations of
+# 0..k-1, so the memo holds at most k! * k! small ints for each k.
+_LOOPS: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
+
+
 def _pair_rows(rows_a, rows_b) -> tuple[int, ...]:
     """sum_sigma P_sigma sum_tau Q_tau N^c(sigma^-1 tau), trimmed, in ints."""
     n = len(rows_a[0][0])
     len_q = max(len(q) for _, _, q in rows_b)
     out = [0] * (max(len(p) for _, _, p in rows_a) + len_q + n - 1)
     for _, inv_sigma, p in rows_a:
+        memo = _LOOPS.get(inv_sigma)
+        if memo is None:
+            memo = _LOOPS[inv_sigma] = {}
         inner = [0] * (len_q + n)
         for tau, _, q in rows_b:
-            # cycles of sigma^-1 tau
-            loops = 0
-            seen = [False] * n
-            for start in range(n):
-                if seen[start]:
-                    continue
-                loops += 1
-                j = start
-                while not seen[j]:
-                    seen[j] = True
-                    j = inv_sigma[tau[j]]
+            loops = memo.get(tau)
+            if loops is None:
+                # cycles of sigma^-1 tau
+                loops = 0
+                seen = [False] * n
+                for start in range(n):
+                    if seen[start]:
+                        continue
+                    loops += 1
+                    j = start
+                    while not seen[j]:
+                        seen[j] = True
+                        j = inv_sigma[tau[j]]
+                memo[tau] = loops
             for j, c in enumerate(q, loops):
                 inner[j] += c
         for i, c in enumerate(p):

@@ -1,7 +1,10 @@
 """Exact fixed-N realization of invariant elements, plus float correlators.
 
-Everything rank- or nullity-shaped runs in exact rational arithmetic; floats
-appear only where unitary matrices do (sampled group elements, correlators).
+Everything rank- or nullity-shaped runs in exact arithmetic on integers:
+an element at integer N is summed as integer entries over one common
+denominator, and a rank is taken by fraction-free elimination on rows
+scaled to integers.  Floats appear only where unitary matrices do
+(sampled group elements, correlators).
 numpy is imported inside the float functions only, so exact work never
 loads it.
 Index placement: a fundamental leg transforms with U, an antifundamental leg
@@ -14,6 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .diagrams import FUND, InvariantElement
@@ -103,13 +107,41 @@ def _check_cap(n: int, axes: int):
 def _diagram_indices(diag, n: int, axes: int):
     """Every index tuple at which a delta diagram is 1 at N = n."""
     # operator endpoints are already axis labels: left a -> output axis a,
-    # right k+a -> input axis k+a; ket legs are their own axes
-    strands = [(a, b) for a, b in diag.matching().items() if a < b]
-    for assign in itertools.product(range(n), repeat=len(strands)):
-        idx = [0] * axes
-        for (a, b), v in zip(strands, assign):
-            idx[a] = idx[b] = v
-        yield tuple(idx)
+    # right k+a -> input axis k+a; ket legs are their own axes.  Strand s
+    # carries value assign[s] to both of its endpoints.
+    strand_of = [0] * axes
+    strands = (pair for pair in diag.matching().items() if pair[0] < pair[1])
+    for s, (a, b) in enumerate(strands):
+        strand_of[a] = strand_of[b] = s
+    assigns = itertools.product(range(n), repeat=axes // 2)
+    # a zero-slot element has the one empty index, which itemgetter() with
+    # no items cannot give
+    return map(itemgetter(*strand_of), assigns) if axes else assigns
+
+
+def integer_entries(element: InvariantElement,
+                    n: int) -> tuple[int, dict[tuple[int, ...], int]]:
+    """The exact tensor of an element at N = n as (den, {index: num}).
+
+    Entry index is num / den, with one positive den for the whole tensor
+    and only the nonzero nums kept.  Coefficients must evaluate
+    rationally.
+    """
+    if n < 1:
+        raise OutOfRange(f"need n >= 1, got {n}")
+    axes = _element_axes(element)
+    _check_cap(n, axes)
+    values = [(diag, coeff.eval_rational(n))
+              for diag, coeff in element.terms.items()]
+    values = [(diag, v) for diag, v in values if v]
+    den = math.lcm(*(v.denominator for _, v in values))
+    sums: dict[tuple[int, ...], int] = {}
+    get = sums.get
+    for diag, v in values:
+        num = v.numerator * (den // v.denominator)
+        for key in _diagram_indices(diag, n, axes):
+            sums[key] = get(key, 0) + num
+    return den, {key: num for key, num in sums.items() if num}
 
 
 def evaluate(element: InvariantElement, n: int) -> ExactTensor:
@@ -118,18 +150,10 @@ def evaluate(element: InvariantElement, n: int) -> ExactTensor:
     Operators come out with output axes first, then input axes, so the
     matrix view is matrix_rows(k).  Coefficients must evaluate rationally.
     """
-    if n < 1:
-        raise OutOfRange(f"need n >= 1, got {n}")
-    axes = _element_axes(element)
-    _check_cap(n, axes)
-    entries: dict[tuple[int, ...], Fraction] = {}
-    for diag, coeff in element.terms.items():
-        value = coeff.eval_rational(n)
-        if value == 0:
-            continue
-        for key in _diagram_indices(diag, n, axes):
-            entries[key] = entries.get(key, 0) + value
-    return ExactTensor((n,) * axes, entries=entries)
+    den, nums = integer_entries(element, n)
+    return ExactTensor((n,) * _element_axes(element),
+                       entries={key: Fraction(num, den)
+                                for key, num in nums.items()})
 
 
 def evaluate_float(element: InvariantElement, n: int) -> np.ndarray:
@@ -151,13 +175,15 @@ def evaluate_float(element: InvariantElement, n: int) -> np.ndarray:
 
 
 def exact_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Rank of an exact rational matrix by Gaussian elimination.
+    """Rank of an exact rational matrix by fraction-free elimination.
 
-    Rows are kept as {column: nonzero entry}, so eliminating a row touches
-    only the columns where the pivot row is nonzero.
+    Each row is scaled to coprime integers and kept as {column: nonzero
+    entry}.  Eliminating with a pivot row replaces a row by
+    lead * row - factor * pivot (Bareiss, Math. Comp. 22, 1968), which
+    stays integral, and then divides it by its content, which keeps it
+    small.  Only the row's own columns and the pivot's are touched.
     """
-    pending = [{c: Fraction(x) for c, x in enumerate(row) if x}
-               for row in rows]
+    pending = [_integer_row(row) for row in rows]
     rank = 0
     while pending:
         pivot = pending.pop()
@@ -169,14 +195,36 @@ def exact_rank(rows: Sequence[Sequence[Fraction]]) -> int:
             factor = row.get(col)
             if factor is None:
                 continue
-            factor /= lead
+            g = math.gcd(lead, factor)
+            scale, factor = lead // g, factor // g
+            if scale != 1:
+                for c in row:
+                    row[c] *= scale
             for c, x in pivot.items():
                 value = row.get(c, 0) - factor * x
                 if value:
                     row[c] = value
                 else:
                     del row[c]
+            content = math.gcd(*row.values())
+            if content > 1:
+                for c in row:
+                    row[c] //= content
     return rank
+
+
+def _integer_row(row: Sequence) -> dict[int, int]:
+    """{column: entry} of a rational row's nonzero entries, scaled to
+    coprime integers."""
+    cells = {c: x if isinstance(x, (int, Fraction)) else Fraction(x)
+             for c, x in enumerate(row) if x}
+    scale = math.lcm(*(x.denominator for x in cells.values()))
+    cells = {c: x.numerator * (scale // x.denominator)
+             for c, x in cells.items()}
+    content = math.gcd(*cells.values())
+    if content > 1:
+        cells = {c: x // content for c, x in cells.items()}
+    return cells
 
 
 def sample_special_unitary(n: int, seed: int) -> np.ndarray:

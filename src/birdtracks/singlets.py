@@ -238,21 +238,38 @@ def is_dimensionally_null(state: InvariantElement, n: int) -> bool:
 
 @lru_cache(maxsize=None)
 def _count_states(k: int, source: str) -> tuple:
-    return tuple(basis_states(k, source))
+    """The source states, and their norms <i|i> if the source makes them
+    orthogonal (None otherwise)."""
+    if source == "trace+orthogonalize":
+        basis = singlet_basis(k, source)
+        return (tuple(op.ket for op in basis),
+                tuple(1 / op.normalization for op in basis))
+    return tuple(basis_states(k, source)), None
 
 
 @lru_cache(maxsize=None)
 def _count_denominators(k: int, source: str) -> tuple:
-    return _denominators(_count_states(k, source))
+    return _denominators(_count_states(k, source)[0])
 
 
 @lru_cache(maxsize=None)
 def _count_gram(k: int, source: str) -> tuple:
-    """The Gram matrix as (distinct entries, rows of indices into them)."""
+    """The Gram matrix as (distinct entries, rows of indices into them).
+
+    Orthogonal states have the diagonal Gram matrix of their norms, which
+    the basis normalizations give without an inner product.
+    """
+    states, norms = _count_states(k, source)
+    if norms is None:
+        gram = gram_matrix(states)
+    else:
+        zero = RadicalCoefficient.zero()
+        gram = [[norm if i == j else zero for j in range(len(norms))]
+                for i, norm in enumerate(norms)]
     distinct = {}
     index = tuple(tuple(distinct.setdefault(entry, len(distinct))
                         for entry in row)
-                  for row in gram_matrix(_count_states(k, source)))
+                  for row in gram)
     return tuple(distinct), index
 
 

@@ -1,8 +1,11 @@
 """Guards of the named verification checks."""
 
+from dataclasses import replace
+
 import pytest
 
 from birdtracks import checks
+from birdtracks.coefficients import rf
 from birdtracks.errors import OutOfRange
 
 
@@ -13,6 +16,33 @@ from birdtracks.errors import OutOfRange
 def test_short_basis_fails_the_check(monkeypatch, check, source):
     full = getattr(checks, source)
     monkeypatch.setattr(checks, source, lambda k: full(k)[:5])
+    assert check() is False
+    monkeypatch.undo()
+    assert check() is True
+
+
+def _perturbed_weight(real):
+    def product(a, b):
+        weight = a.normalization * rf([1, 1], [0, 1])
+        return real(replace(a, normalization=weight), b)
+    return product
+
+
+@pytest.mark.parametrize("check, name, fake", [
+    (checks.check_symbolic_numeric_agreement, "inner_product",
+     lambda real: lambda a, b: real(a, b) * 2),
+    (checks.check_singlet_counts, "singlet_count",
+     lambda real: lambda k, n, source: real(k, n, source) + 1),
+    # the Gram side builds its own states, so only the dense side loses one
+    (checks.check_singlet_counts, "raw_trace_states",
+     lambda real: lambda k: real(k)[1:]),
+    (checks.check_lr_projectors, "pair_singlet_projector",
+     lambda real: checks.adjoint_pair_diagram),
+    (checks.check_operator_algebra, "rank_one_product", _perturbed_weight),
+], ids=["scaled-inner-product", "off-by-one-count", "dropped-dense-state",
+        "wrong-pair-projector", "perturbed-product-weight"])
+def test_wrong_input_fails_the_check(monkeypatch, check, name, fake):
+    monkeypatch.setattr(checks, name, fake(getattr(checks, name)))
     assert check() is False
     monkeypatch.undo()
     assert check() is True

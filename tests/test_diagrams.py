@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import re
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from birdtracks import diagrams
 from birdtracks.coefficients import N, ONE, RadicalCoefficient, rf, sqrt
 from birdtracks.diagrams import (
     InvariantElement,
@@ -25,6 +27,7 @@ from birdtracks.diagrams import (
     permutation_element,
     tensor,
     zero,
+    _cycles,
     _perm_sign,
 )
 from birdtracks.errors import (
@@ -501,3 +504,49 @@ def test_ket_inner_product_random_mixed_radicands(pair):
     for n in (2, 3, 4):
         dense = np.vdot(evaluate_float(a, n), evaluate_float(b, n)).real
         assert got.eval_float(n) == pytest.approx(dense, rel=1e-9, abs=1e-9)
+
+
+# -- shared kernels: cached matchings and the loop-count memo -----------------
+
+def test_cached_matchings_are_read_only():
+    for sig in (Signature("qbq"), ket_signature(2, 2)):
+        size = sig.n_slots if sig.is_operator() else sig.n_anti
+        for perm in itertools.permutations(range(size)):
+            pairs = PrimitiveDiagram(sig, perm).matching()
+            assert dict(pairs) == dict(PrimitiveDiagram(sig, perm).matching())
+            assert all(pairs[pairs[e]] == e for e in pairs)
+            with pytest.raises(TypeError):
+                pairs[0] = pairs[0]
+            with pytest.raises(TypeError):
+                del pairs[0]
+            with pytest.raises(AttributeError):
+                pairs.clear()
+
+
+def test_kernels_give_equal_results_on_repeated_calls():
+    rng = random.Random(41)
+    sig = Signature("qbqb")
+    ops = [permutation_element(sig, random_perm(rng, 4), rf([1, 1], [0, 1]))
+           + permutation_element(sig, random_perm(rng, 4), 2)
+           for _ in range(4)]
+    kets = [op.bend() for op in ops]
+    first = ([compose(a, b) for a in ops for b in ops],
+             [op.bend() for op in ops],
+             [ketbra(u, v) for u in kets for v in kets])
+    again = ([compose(a, b) for a in ops for b in ops],
+             [op.bend() for op in ops],
+             [ketbra(u, v) for u in kets for v in kets])
+    assert first == again
+    assert first[1] == kets
+
+
+def test_pair_rows_loop_memo_matches_cycle_counts():
+    kets = raw_trace_states(4)
+    diagrams._LOOPS.clear()
+    cold = [[inner_product(a, b) for b in kets] for a in kets]
+    assert [[inner_product(a, b) for b in kets] for a in kets] == cold
+    assert diagrams._LOOPS
+    for inv_sigma, by_tau in diagrams._LOOPS.items():
+        assert len(by_tau) <= math.factorial(len(inv_sigma))
+        for tau, loops in by_tau.items():
+            assert loops == len(_cycles([inv_sigma[t] for t in tau]))

@@ -28,6 +28,7 @@ from birdtracks.numeric import (
     evaluate_float,
     exact_rank,
     generalized_gell_mann,
+    integer_entries,
     sample_special_unitary,
     state_matrix_rows,
     unitary_action,
@@ -218,6 +219,67 @@ def test_fierz_identity_with_explicit_generators():
         assert np.max(np.abs(fierz - (swap - sing / n))) < 1e-10
 
 
+def test_fully_traced_element_evaluates_to_a_scalar():
+    # no axes left: the one index is (), which itemgetter() cannot build
+    traced = identity(Signature("qb")).partial_trace([0, 1])
+    assert traced.sig.n_slots == 0
+    for n in (1, 2, 3):
+        t = evaluate(traced, n)
+        assert t.shape == () and t.entries == {(): n * n}
+        assert evaluate_float(traced, n)[()] == n * n
+    assert evaluate(traced.scaled(rf([1], [0, 1])), 3).entries == {(): 3}
+
+
+def test_cancelling_index_sums_are_absent():
+    sig = Signature("qq")
+    diff = identity(sig) - permutation_element(sig, (1, 0))
+    for n in (1, 2, 3):
+        entries = evaluate(diff, n).entries
+        # identity and swap are both 1 where all four indices agree
+        assert all(v != 0 for v in entries.values())
+        assert not any(key == (i,) * 4 for key in entries for i in range(n))
+        assert len(entries) == 2 * (n * n - n)
+        den, nums = integer_entries(diff, n)
+        assert den == 1 and nums == entries
+    assert evaluate(diff, 1).entries == {}
+
+
+def test_integer_entries_share_one_denominator():
+    sig = Signature("qb")
+    el = (identity(sig).scaled(Fraction(1, 6))
+          + permutation_element(sig, (1, 0)).scaled(rf([1], [0, 2])))
+    for n in (2, 3):
+        den, nums = integer_entries(el, n)
+        assert den > 0 and all(isinstance(v, int) and v for v in nums.values())
+        assert {key: Fraction(v, den) for key, v in nums.items()} == (
+            evaluate(el, n).entries)
+        # slow reference: one Fraction add per (term, index)
+        want = {}
+        for diag, coeff in el.terms.items():
+            value = coeff.eval_rational(n)
+            pairs = diag.matching()
+            for idx in itertools.product(range(n), repeat=4):
+                if all(idx[a] == idx[b] for a, b in pairs.items()):
+                    want[idx] = want.get(idx, 0) + value
+        assert evaluate(el, n).entries == {k: v for k, v in want.items() if v}
+
+
+def test_exact_rank_on_ints_mixed_rows_and_big_entries():
+    assert exact_rank([[1, 2, 3], [2, 4, 6], [0, 1, 1]]) == 2
+    assert exact_rank([[0, 0], [0, 0]]) == 0
+    assert exact_rank([[1, Fraction(1, 2)], [2, 1]]) == 1
+    assert exact_rank([[Fraction(1, 3), 1, 0], [1, 3, Fraction(-2, 7)]]) == 2
+    big = 2 ** 64 + 1
+    assert exact_rank([[big, 2 ** 65], [3 * big, 3 * 2 ** 65]]) == 1
+    assert exact_rank([[big, 1], [1, big]]) == 2
+    assert exact_rank([[Fraction(1, big), 1], [1, big]]) == 1
+    assert exact_rank([[Fraction(big, 3), 2 ** 70], [big, 3 * 2 ** 70],
+                       [Fraction(1, 2 ** 66), 0]]) == 2
+    rows = [[1, Fraction(1, 2)], [2, 1]]
+    exact_rank(rows)
+    assert rows == [[1, Fraction(1, 2)], [2, 1]]
+
+
 def test_exact_tensor_mode_guards():
     t = ExactTensor((2, 2), entries={(0, 0): Fraction(1)})
     assert t.matrix_rows(1)[0][0] == 1
@@ -230,7 +292,13 @@ def sparse_rational_matrices(draw):
     """Mostly-zero rational matrices, often wide, with some dependent rows."""
     n_rows = draw(st.integers(1, 5))
     n_cols = draw(st.integers(1, 14))
-    value = st.fractions(-4, 4, max_denominator=5)
+    # small fractions, plain ints, and fractions with parts above 2^64;
+    # a row may mix all three
+    value = st.one_of(
+        st.fractions(-4, 4, max_denominator=5),
+        st.integers(-4, 4),
+        st.builds(Fraction, st.integers(-2 ** 70, 2 ** 70),
+                  st.integers(1, 2 ** 66)))
     # two zero branches: about two cells in three are zero
     cell = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), value)
     rows = draw(st.lists(st.lists(cell, min_size=n_cols, max_size=n_cols),
@@ -242,7 +310,7 @@ def sparse_rational_matrices(draw):
     return draw(st.permutations(rows))
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(sparse_rational_matrices())
 def test_exact_rank_matches_sympy(rows):
     want = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator)

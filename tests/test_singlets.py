@@ -230,6 +230,24 @@ def test_pole_check_precedes_and_survives_the_cached_gram():
         singlet_count(4, 1, "trace+orthogonalize")
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_orthogonalized_counts_match_the_dense_gram_rank(k):
+    # the counts read the Gram matrix off the basis normalizations; the
+    # full Gram matrix of the kets must have the same rank
+    from birdtracks.numeric import exact_rank
+
+    gram = gram_matrix(basis_states(k, "trace+orthogonalize"))
+    assert all(entry.is_zero() for i, row in enumerate(gram)
+               for j, entry in enumerate(row) if i != j)
+    for n in range(2, 9):
+        dense = exact_rank([[entry.eval_rational(n) for entry in row]
+                            for row in gram])
+        assert singlet_count(k, n, "trace+orthogonalize") == dense, (k, n)
+    if k == 4:
+        with pytest.raises(PoleAtN, match="state 16 .*N=1"):
+            singlet_count(4, 1, "trace+orthogonalize")
+
+
 def test_gram_matrix_returns_fresh_lists():
     singlet_count(2, 2)
     states = basis_states(2, "trace")
