@@ -9,17 +9,15 @@ them, exit with code 2 and a machine-readable JSON error on stderr; failed
 verification exits with code 1 the same way; success exits with 0.  A
 reader that closes stdout early ends the run with code 1 and no stderr.
 
-BIRDTRACK_THREADS, when set, must be a positive integer; a malformed value
-is rejected as a configuration error.  The exact commands load no numpy and
-start no BLAS threads.  `correlator` and the float checks of `verify` import
-numpy, whose BLAS library may start its own thread pool.
+The exact commands load no numpy and start no BLAS threads.  `correlator`
+and the float checks of `verify` import numpy, whose BLAS library may start
+its own thread pool.
 """
 
 import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .checks import CHECKS, run_checks
@@ -34,7 +32,6 @@ from .errors import BirdtrackError
 from .numeric import correlator_matrix, sample_special_unitary
 from .singlets import (
     SOURCES,
-    _denominators,
     _require_finite,
     basis_states,
     gram_matrix,
@@ -45,18 +42,6 @@ from .tracebasis import all_decompositions, normalized_trace_basis, raw_trace_st
 
 SCHEMA = "1"
 
-_FORMATS = {
-    "basis": ("text", "json", "latex"),
-    "gram": ("text", "json", "latex"),
-    "singlets": ("text", "json", "latex"),
-    "trace-basis": ("text", "json", "latex"),
-    "lr": ("text", "json", "latex"),
-    "transient": ("text", "json", "latex"),
-    "eval": ("text", "json"),
-    "verify": ("text", "json"),
-    "correlator": ("text", "json"),
-}
-
 
 class ConfigError(Exception):
     """A bad flag value or combination, reported before any computation."""
@@ -65,69 +50,6 @@ class ConfigError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise ConfigError(message)
-
-
-@dataclass
-class CommandConfig:
-    """Validated invocation parameters for one command."""
-
-    command: str
-    k: int | None = None
-    m: int | None = None
-    n: int | None = None
-    N: int | None = None
-    source: str | None = None
-    format: str = "text"
-    seed: int = 0
-    output: str | None = None
-    normalized: bool = False
-    checks: tuple[str, ...] = ()
-    samples: int = 1
-    tolerance: float = 1e-10
-
-    @classmethod
-    def from_args(cls, args: argparse.Namespace) -> "CommandConfig":
-        fields = {f for f in cls.__dataclass_fields__}
-        data = {k: v for k, v in vars(args).items() if k in fields and v is not None}
-        return cls(**data)
-
-    def validate(self) -> None:
-        if self.k is not None and self.k < 1:
-            raise ConfigError("--k must be at least 1")
-        if self.m is not None and self.m < 0:
-            raise ConfigError("--m must be at least 0")
-        if self.n is not None and self.n < 0:
-            raise ConfigError("--n must be at least 0")
-        if self.command in ("lr", "transient", "correlator"):
-            if self.N is None or self.N < 2:
-                raise ConfigError("--N must be at least 2 for this command")
-        if self.command == "lr" and (self.m or 0) + (self.n or 0) < 1:
-            raise ConfigError("--m and --n cannot both be 0")
-        elif self.N is not None and self.N < 1:
-            raise ConfigError("--N must be at least 1")
-        if self.command == "verify":
-            known = {name for name, _ in CHECKS}
-            unknown = [c for c in self.checks if c not in known]
-            if unknown:
-                raise ConfigError(
-                    f"unknown checks: {', '.join(unknown)} "
-                    f"(available: {', '.join(sorted(known))})")
-        if self.samples < 1:
-            raise ConfigError("--samples must be at least 1")
-        if self.seed < 0:
-            raise ConfigError("--seed must be at least 0")
-        if not self.tolerance > 0:
-            raise ConfigError("--tolerance must be positive")
-        if self.output is not None:
-            if not self.output:
-                raise ConfigError("--output must name a file")
-            parent = os.path.dirname(self.output) or "."
-            if os.path.isdir(self.output):
-                raise ConfigError(f"--output {self.output} is a directory")
-            if not os.path.isdir(parent):
-                raise ConfigError(f"--output directory {parent} does not exist")
-            if not os.access(parent, os.W_OK):
-                raise ConfigError(f"--output directory {parent} is not writable")
 
 
 # -- rendering helpers --------------------------------------------------------
@@ -285,65 +207,62 @@ def _state_listing(states, labels, label_key: str, fmt: str,
 
 
 # -- commands -----------------------------------------------------------------
-# Each returns (output, failure): the JSON payload or the lines of cfg.format.
+# Each reads the parsed arguments and returns (output, failure): the JSON
+# payload or the lines of args.format.
 
 
-def _cmd_basis(cfg: CommandConfig):
-    k = cfg.k
-    source = cfg.source or "builtin"
+def _cmd_basis(args):
+    k, source = args.k, args.source
     states = basis_states(k, source)
     labels = ([d.to_text() for d in all_decompositions(k)]
               if source == "trace" else [str(i) for i in range(len(states))])
-    listing = _state_listing(states, labels, "label", cfg.format, {
+    listing = _state_listing(states, labels, "label", args.format, {
         "text": f"singlet basis for k={k}, source={source}: "
                 f"{len(states)} state(s)",
         "latex": f"% singlet basis, k={k}, source={source}"})
-    if cfg.format != "json":
+    if args.format != "json":
         return listing, None
     return {"schema": SCHEMA, "command": "basis", "k": k, "source": source,
             "count": len(states), "states": listing}, None
 
 
-def _cmd_gram(cfg: CommandConfig):
-    k = cfg.k
-    source = cfg.source or "builtin"
+def _cmd_gram(args):
+    k, source = args.k, args.source
     states = basis_states(k, source)
-    if cfg.N is not None:
-        _require_finite(_denominators(states), cfg.N,
-                        lambda i: f"{source} state {i}")
+    if args.N is not None:
+        _require_finite(states, args.N, lambda i: f"{source} state {i}")
     gram = gram_matrix(states)
-    if cfg.format == "json":
+    if args.format == "json":
         payload = {"schema": SCHEMA, "command": "gram", "k": k,
                    "source": source,
-                   "entries": [[_value_json(e, cfg.N) for e in row]
+                   "entries": [[_value_json(e, args.N) for e in row]
                                for row in gram]}
-        if cfg.N is not None:
-            payload["N"] = cfg.N
+        if args.N is not None:
+            payload["N"] = args.N
         return payload, None
-    if cfg.format == "text":
+    if args.format == "text":
         return [f"gram matrix for k={k}, source={source}"
-                + (f", N={cfg.N}" if cfg.N is not None else "")] + [
-            "  [" + ", ".join(_value_text(e, cfg.N) for e in row) + "]"
+                + (f", N={args.N}" if args.N is not None else "")] + [
+            "  [" + ", ".join(_value_text(e, args.N) for e in row) + "]"
             for row in gram], None
     latex = ["\\begin{pmatrix}"]
     for row in gram:
-        cells = (_eval_str(e.eval_at(cfg.N), latex=True) if cfg.N is not None
+        cells = (_eval_str(e.eval_at(args.N), latex=True) if args.N is not None
                  else _rad_latex(e) for e in row)
         latex.append(" & ".join(cells) + " \\\\")
     return latex + ["\\end{pmatrix}"], None
 
 
-def _cmd_singlets(cfg: CommandConfig):
-    k = cfg.k if cfg.k is not None else 3
-    source = cfg.source or "builtin"
+def _cmd_singlets(args):
+    k, source = args.k, args.source
     table = singlet_table(k, source)
     size = len(table)
-    if cfg.format == "json":
+    if args.format == "json":
         return {"schema": SCHEMA, "command": "singlets", "k": k,
                 "source": source, "size": size,
                 "operators": [[op.to_json() for op in row]
                               for row in table]}, None
-    if cfg.format == "text":
+    if args.format == "text":
         text = [f"singlet operator table for k={k}, source={source}: "
                 f"{size} projectors, {size * size - size} transitions"]
         for i in range(size):
@@ -368,30 +287,30 @@ def _cmd_singlets(cfg: CommandConfig):
     return latex, None
 
 
-def _cmd_trace_basis(cfg: CommandConfig):
-    k = cfg.k if cfg.k is not None else 3
-    if not cfg.normalized:
+def _cmd_trace_basis(args):
+    k = args.k
+    if not args.normalized:
         states = raw_trace_states(k)
         listing = _state_listing(
             states, [d.to_text() for d in all_decompositions(k)], "cycles",
-            cfg.format, {
+            args.format, {
                 "text": f"raw trace basis for k={k}: {len(states)} state(s)",
                 "latex": f"% raw trace basis, k={k}"})
-        if cfg.format != "json":
+        if args.format != "json":
             return listing, None
         return {"schema": SCHEMA, "command": "trace-basis", "k": k,
                 "normalized": False, "states": listing}, None
     ops = normalized_trace_basis(k)
-    if cfg.format == "json":
+    if args.format == "json":
         records = [{"index": i, "normalization": op.normalization.to_json(),
                     "element": op.ket.to_json()}
                    for i, op in enumerate(ops)]
         return {"schema": SCHEMA, "command": "trace-basis", "k": k,
                 "normalized": True, "states": records}, None
     lines = [f"normalized trace basis for k={k}: {len(ops)} state(s)"
-             if cfg.format == "text" else f"% normalized trace basis, k={k}"]
+             if args.format == "text" else f"% normalized trace basis, k={k}"]
     for i, op in enumerate(ops):
-        if cfg.format == "text":
+        if args.format == "text":
             lines.append(f"state {i}: normalization {op.normalization!r}")
             lines.append(f"  {op.ket!r}")
         else:
@@ -401,27 +320,27 @@ def _cmd_trace_basis(cfg: CommandConfig):
     return lines, None
 
 
-def _cmd_lr(cfg: CommandConfig):
-    shapes = lr_decomposition(cfg.m, cfg.n, cfg.N)
-    records = [{"shape": list(s.rows), "dimension": shape_dimension(s, cfg.N)}
+def _cmd_lr(args):
+    shapes = lr_decomposition(args.m, args.n, args.N)
+    records = [{"shape": list(s.rows), "dimension": shape_dimension(s, args.N)}
                for s in shapes]
     total = sum(r["dimension"] for r in records)
-    expected = cfg.N ** (cfg.m + cfg.n)
+    expected = args.N ** (args.m + args.n)
     fail = None if total == expected else "dimension count mismatch"
-    if cfg.format == "json":
-        return {"schema": SCHEMA, "command": "lr", "m": cfg.m, "n": cfg.n,
-                "N": cfg.N, "shapes": records, "total_dimension": total,
+    if args.format == "json":
+        return {"schema": SCHEMA, "command": "lr", "m": args.m, "n": args.n,
+                "N": args.N, "shapes": records, "total_dimension": total,
                 "expected_dimension": expected,
                 "conserved": total == expected}, fail
-    if cfg.format == "latex":
+    if args.format == "latex":
         latex = ["\\begin{tabular}{ll}", "shape & dimension \\\\", "\\hline"]
         for r in records:
             rows = ",".join(str(x) for x in r["shape"])
             latex.append(f"$[{rows}]$ & {r['dimension']} \\\\")
         return latex + ["\\end{tabular}",
                         f"% total {total}, expected {expected}"], fail
-    text = [f"decomposition of {cfg.m} fundamental x {cfg.n} "
-            f"antifundamental factors at N={cfg.N}: "
+    text = [f"decomposition of {args.m} fundamental x {args.n} "
+            f"antifundamental factors at N={args.N}: "
             f"{len(records)} shape(s)"]
     for r in records:
         text.append(f"  {r['shape']}  dimension {r['dimension']}")
@@ -430,38 +349,37 @@ def _cmd_lr(cfg: CommandConfig):
     return text, fail
 
 
-def _cmd_transient(cfg: CommandConfig):
-    params = transient_singlet_params(cfg.m, cfg.n, cfg.N)
-    if cfg.format == "json":
-        return {"schema": SCHEMA, "command": "transient", "m": cfg.m,
-                "n": cfg.n, "N": cfg.N,
+def _cmd_transient(args):
+    params = transient_singlet_params(args.m, args.n, args.N)
+    if args.format == "json":
+        return {"schema": SCHEMA, "command": "transient", "m": args.m,
+                "n": args.n, "N": args.N,
                 "solutions": [p.to_json() for p in params]}, None
-    if cfg.format == "latex":
+    if args.format == "latex":
         return ["\\begin{tabular}{llll}",
                 "$a$ & $b$ & $k$ & $\\alpha$ \\\\", "\\hline"] + [
             f"{p.a} & {p.b} & {p.k} & {p.alpha} \\\\" for p in params] + [
             "\\end{tabular}"], None
-    return [f"transient singlet parameters for m={cfg.m}, n={cfg.n}, "
-            f"N={cfg.N}: {len(params)} solution(s)"] + [
+    return [f"transient singlet parameters for m={args.m}, n={args.n}, "
+            f"N={args.N}: {len(params)} solution(s)"] + [
         f"  a={p.a} b={p.b} k={p.k} alpha={p.alpha}" for p in params], None
 
 
-def _cmd_eval(cfg: CommandConfig):
-    source = cfg.source or "trace"
-    count = singlet_count(cfg.k, cfg.N, source)
-    if cfg.format == "json":
-        return {"schema": SCHEMA, "command": "eval", "k": cfg.k, "N": cfg.N,
-                "source": source, "count": count}, None
-    return [f"singlet count for k={cfg.k} at N={cfg.N} "
-            f"({source} source): {count}"], None
+def _cmd_eval(args):
+    count = singlet_count(args.k, args.N, args.source)
+    if args.format == "json":
+        return {"schema": SCHEMA, "command": "eval", "k": args.k, "N": args.N,
+                "source": args.source, "count": count}, None
+    return [f"singlet count for k={args.k} at N={args.N} "
+            f"({args.source} source): {count}"], None
 
 
-def _cmd_verify(cfg: CommandConfig):
-    results = run_checks(cfg.checks or None)
+def _cmd_verify(args):
+    results = run_checks(args.checks)
     passed = sum(1 for _, ok in results if ok)
     failed = len(results) - passed
     fail = None if failed == 0 else f"{failed} of {len(results)} checks failed"
-    if cfg.format == "json":
+    if args.format == "json":
         return {"schema": SCHEMA, "command": "verify",
                 "results": [{"name": name, "passed": ok}
                             for name, ok in results],
@@ -473,36 +391,36 @@ def _cmd_verify(cfg: CommandConfig):
     return text, fail
 
 
-def _cmd_correlator(cfg: CommandConfig):
+def _cmd_correlator(args):
     import numpy as np
 
-    states = raw_trace_states(cfg.k)
-    eye = np.eye(cfg.N, dtype=complex)
-    base = correlator_matrix(states, [eye] * (2 * cfg.k), cfg.N)
+    states = raw_trace_states(args.k)
+    eye = np.eye(args.N, dtype=complex)
+    base = correlator_matrix(states, [eye] * (2 * args.k), args.N)
     runs = []
-    for seed in range(cfg.seed, cfg.seed + cfg.samples):
-        u = sample_special_unitary(cfg.N, seed)
-        legs = [u] * cfg.k + [np.conj(u)] * cfg.k
-        moved = correlator_matrix(states, legs, cfg.N)
+    for seed in range(args.seed, args.seed + args.samples):
+        u = sample_special_unitary(args.N, seed)
+        legs = [u] * args.k + [np.conj(u)] * args.k
+        moved = correlator_matrix(states, legs, args.N)
         runs.append((seed, float(np.max(np.abs(moved - base))), moved))
     worst = max([0.0] + [residual for _, residual, _ in runs])
-    ok = worst <= cfg.tolerance
+    ok = worst <= args.tolerance
     fail = None if ok else f"residual {worst:.3e} exceeds tolerance"
-    if cfg.format == "json":
+    if args.format == "json":
         samples = [{"seed": seed, "residual": residual,
                     "matrix": [[[float(z.real), float(z.imag)] for z in row]
                                for row in moved]}
                    for seed, residual, moved in runs]
-        return {"schema": SCHEMA, "command": "correlator", "k": cfg.k,
-                "N": cfg.N, "seed": cfg.seed, "samples": samples,
-                "max_residual": worst, "tolerance": cfg.tolerance,
+        return {"schema": SCHEMA, "command": "correlator", "k": args.k,
+                "N": args.N, "seed": args.seed, "samples": samples,
+                "max_residual": worst, "tolerance": args.tolerance,
                 "passed": ok}, fail
-    text = [f"correlator invariance for k={cfg.k} trace states at "
-            f"N={cfg.N}"]
+    text = [f"correlator invariance for k={args.k} trace states at "
+            f"N={args.N}"]
     text.extend(f"  seed {seed}: residual {residual:.3e}"
                 for seed, residual, _ in runs)
     text.append(f"max residual {worst:.3e}, tolerance "
-                f"{cfg.tolerance:.1e}: {'pass' if ok else 'FAIL'}")
+                f"{args.tolerance:.1e}: {'pass' if ok else 'FAIL'}")
     return text, fail
 
 
@@ -525,11 +443,11 @@ def build_parser() -> _Parser:
                                  "powers at symbolic N.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, **flags):
+    def add(name, help_text, formats=("text", "json", "latex"), **flags):
         p = sub.add_parser(name, help=help_text)
         for flag, options in flags.items():
             p.add_argument(f"--{flag}", **options)
-        p.add_argument("--format", choices=_FORMATS[name], default="text")
+        p.add_argument("--format", choices=formats, default="text")
         p.add_argument("--output", help="write the result to this path")
         return p
 
@@ -549,31 +467,59 @@ def build_parser() -> _Parser:
         m=intflag, n=intflag, N=intflag)
     add("transient", "parameters of rank-dependent extra singlets",
         m=intflag, n=intflag, N=intflag)
-    add("eval", "singlet count at a concrete rank",
+    no_latex = ("text", "json")
+    add("eval", "singlet count at a concrete rank", no_latex,
         k=intflag, N=intflag,
         source={"choices": SOURCES, "default": "trace"})
-    add("verify", "run the library invariant suite",
+    add("verify", "run the library invariant suite", no_latex,
         check={"action": "append", "dest": "checks", "metavar": "NAME",
                "help": "run only this named check (repeatable)"})
     add("correlator", "check sampled group elements fix the trace states",
-        k=intflag, N=intflag, seed={"type": int, "default": 0},
+        no_latex, k=intflag, N=intflag, seed={"type": int, "default": 0},
         samples={"type": int, "default": 1},
         tolerance={"type": float, "default": 1e-10})
     return parser
 
 
-def _thread_cap() -> int | None:
-    raw = os.environ.get("BIRDTRACK_THREADS")
-    if raw is None:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise ConfigError(
-            f"BIRDTRACK_THREADS must be a positive integer, got {raw!r}")
-    return value
+def _validate(args) -> None:
+    """The range and combination checks that argparse does not make."""
+
+    def at_least(flag, least, where=""):
+        value = getattr(args, flag, None)
+        if value is not None and value < least:
+            raise ConfigError(f"--{flag} must be at least {least}{where}")
+
+    at_least("k", 1)
+    at_least("m", 0)
+    at_least("n", 0)
+    if args.command in ("lr", "transient", "correlator"):
+        at_least("N", 2, " for this command")
+    else:
+        at_least("N", 1)
+    if args.command == "lr" and args.m + args.n < 1:
+        raise ConfigError("--m and --n cannot both be 0")
+    if args.command == "verify":
+        known = {name for name, _ in CHECKS}
+        unknown = [c for c in args.checks or () if c not in known]
+        if unknown:
+            raise ConfigError(
+                f"unknown checks: {', '.join(unknown)} "
+                f"(available: {', '.join(sorted(known))})")
+    if args.command == "correlator":
+        at_least("samples", 1)
+        at_least("seed", 0)
+        if not args.tolerance > 0:
+            raise ConfigError("--tolerance must be positive")
+    if args.output is not None:
+        if not args.output:
+            raise ConfigError("--output must name a file")
+        parent = os.path.dirname(args.output) or "."
+        if os.path.isdir(args.output):
+            raise ConfigError(f"--output {args.output} is a directory")
+        if not os.path.isdir(parent):
+            raise ConfigError(f"--output directory {parent} does not exist")
+        if not os.access(parent, os.W_OK):
+            raise ConfigError(f"--output directory {parent} is not writable")
 
 
 def _emit_error(code: int, message: str) -> int:
@@ -584,25 +530,21 @@ def _emit_error(code: int, message: str) -> int:
 
 def main(argv=None) -> int:
     try:
-        _thread_cap()
         args = build_parser().parse_args(argv)
-        if isinstance(getattr(args, "checks", None), list):
-            args.checks = tuple(args.checks)
-        cfg = CommandConfig.from_args(args)
-        cfg.validate()
-        output, fail = _COMMANDS[cfg.command](cfg)
+        _validate(args)
+        output, fail = _COMMANDS[args.command](args)
     except ConfigError as exc:
         return _emit_error(2, str(exc))
     except BirdtrackError as exc:
         return _emit_error(2, f"{type(exc).__name__}: {exc}")
-    rendered = (_render_json(output) if cfg.format == "json"
+    rendered = (_render_json(output) if args.format == "json"
                 else "\n".join(output))
-    if cfg.output:
+    if args.output:
         try:
-            with open(cfg.output, "w", encoding="utf-8") as handle:
+            with open(args.output, "w", encoding="utf-8") as handle:
                 handle.write(rendered + "\n")
         except OSError as exc:
-            return _emit_error(2, f"cannot write --output {cfg.output}: "
+            return _emit_error(2, f"cannot write --output {args.output}: "
                                   f"{exc.strerror or exc}")
     else:
         try:

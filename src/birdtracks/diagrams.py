@@ -647,16 +647,16 @@ def ketbra(ket: InvariantElement, bra_ket: InvariantElement) -> InvariantElement
     orients = ket.sig.orientations
     sig = Signature(orients, OPERATOR)
     bra_items = [(dv.matching(), cv) for dv, cv in bra_ket.terms.items()]
-
-    def terms():
-        for du, cu in ket.terms.items():
-            mu = du.matching()
-            for mv, cv in bra_items:
-                perm = tuple(mv[a] if o == FUND else mu[a]
-                             for a, o in enumerate(orients))
-                yield PrimitiveDiagram(sig, perm), cu * cv
-
-    return _collect(sig, terms())
+    # the matching is u's on the left and v's on the right, so distinct
+    # (u, v) diagram pairs give distinct diagrams and no terms merge
+    terms = {}
+    for du, cu in ket.terms.items():
+        mu = du.matching()
+        for mv, cv in bra_items:
+            perm = tuple(mv[a] if o == FUND else mu[a]
+                         for a, o in enumerate(orients))
+            terms[PrimitiveDiagram(sig, perm)] = cu * cv
+    return InvariantElement(sig, terms)
 
 
 # ---------------------------------------------------------------------------

@@ -275,7 +275,7 @@ def lr_pair_projector(kind: str, n_param: int) -> ExactTensor:
         seed = compose(compose(sym, antisymmetrizer(column, n_param)), sym)
         seed = seed.scaled(rf([2 * (n_param - 1)]) / rf([n_param]))
     else:
-        raise ValueError(f"unknown projector kind {kind!r}")
+        raise OutOfRange(f"unknown projector kind {kind!r}")
     n = n_param
     out_block = tuple(level - 1 for level in column)
     kept = next(a for a in range(n) if a not in out_block)

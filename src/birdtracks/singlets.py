@@ -15,7 +15,13 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 from .coefficients import RadicalCoefficient, _p_eval, sqrt
-from .diagrams import InvariantElement, format_cycles, inner_product, ketbra
+from .diagrams import (
+    InvariantElement,
+    _gram_form,
+    format_cycles,
+    inner_product,
+    ketbra,
+)
 from .errors import OutOfRange, PoleAtN
 from .numeric import exact_rank
 from .symmetrizers import builtin_orthogonal_basis
@@ -191,31 +197,22 @@ def gram_matrix(states):
     return gram
 
 
-def _denominators(states) -> tuple:
-    """The distinct coefficient denominators of a family of states.
-
-    Pairs (den, (state index, diagram)) in first-occurrence order, each
-    with the first term whose coefficient has that denominator.
-    """
-    first = {}
-    for i, state in enumerate(states):
-        for diag, coeff in state.terms.items():
-            for mult in coeff.terms.values():
-                first.setdefault(mult.den, (i, diag))
-    return tuple(first.items())
-
-
-def _require_finite(denominators, n: int, name) -> None:
-    """Raise PoleAtN if one of _denominators' entries vanishes at N = n.
+def _require_finite(states, n: int, name) -> None:
+    """Raise PoleAtN if a coefficient of one of the states has a pole at n.
 
     The message names the first such term: name(state index) and its
-    diagram.
+    diagram.  A state's Gram form holds, per radicand, the lcm of its
+    coefficients' denominators, which vanishes at n exactly when one of
+    them does; only then are the state's terms walked for the witness.
     """
-    for den, (i, diag) in denominators:
-        if not _p_eval(den, n):
-            raise PoleAtN(
-                f"{name(i)} has a pole at N={n} in the coefficient "
-                f"of {format_cycles(diag.perm)}")
+    for i, state in enumerate(states):
+        if all(_p_eval(den, n) for _, den, _ in _gram_form(state)):
+            continue
+        for diag, coeff in state.terms.items():
+            if any(not _p_eval(mult.den, n) for mult in coeff.terms.values()):
+                raise PoleAtN(
+                    f"{name(i)} has a pole at N={n} in the coefficient "
+                    f"of {format_cycles(diag.perm)}")
 
 
 def is_dimensionally_null(state: InvariantElement, n: int) -> bool:
@@ -227,14 +224,14 @@ def is_dimensionally_null(state: InvariantElement, n: int) -> bool:
     """
     if n < 1:
         raise OutOfRange("N must be a positive integer")
-    _require_finite(_denominators([state]), n, lambda i: "the state")
+    _require_finite([state], n, lambda i: "the state")
     parts = inner_product(state, state).eval_at(n)
     return all(value == 0 for value in parts.values())
 
 
-# singlet_count keeps, per (k, source), the states, their denominators and
-# their symbolic Gram matrix for the life of the process: a count at any N
-# is that one matrix specialised at N.
+# singlet_count keeps, per (k, source), the states and their symbolic Gram
+# matrix for the life of the process: a count at any N is that one matrix
+# specialised at N.
 
 @lru_cache(maxsize=None)
 def _count_states(k: int, source: str) -> tuple:
@@ -245,11 +242,6 @@ def _count_states(k: int, source: str) -> tuple:
         return (tuple(op.ket for op in basis),
                 tuple(1 / op.normalization for op in basis))
     return tuple(basis_states(k, source)), None
-
-
-@lru_cache(maxsize=None)
-def _count_denominators(k: int, source: str) -> tuple:
-    return _denominators(_count_states(k, source)[0])
 
 
 @lru_cache(maxsize=None)
@@ -282,7 +274,7 @@ def singlet_count(k: int, n: int, source: str = "trace") -> int:
     """
     if n < 1:
         raise OutOfRange("N must be a positive integer")
-    _require_finite(_count_denominators(k, source), n,
+    _require_finite(_count_states(k, source)[0], n,
                     lambda i: f"{source} state {i}")
     entries, index = _count_gram(k, source)
     values = [entry.eval_rational(n) for entry in entries]

@@ -92,12 +92,12 @@ class StandardTableau:
 
     @classmethod
     def from_text(cls, text: str) -> "StandardTableau":
-        rows = []
-        for chunk in text.split("/"):
-            entries = tuple(int(x) for x in chunk.split())
-            if entries:
-                rows.append(entries)
-        return cls(tuple(rows))
+        try:
+            rows = [tuple(int(x) for x in chunk.split())
+                    for chunk in text.split("/")]
+        except ValueError:
+            raise OutOfRange(f"cannot parse tableau {text!r}") from None
+        return cls(tuple(row for row in rows if row))
 
     @property
     def shape(self) -> YoungShape:

@@ -230,15 +230,103 @@ def test_builtin_source_out_of_range_is_config_error(capsys):
     assert "UnsupportedK" in json.loads(err)["error"]["message"]
 
 
-def test_thread_cap_env_validation(capsys, monkeypatch):
-    monkeypatch.setenv("BIRDTRACK_THREADS", "0")
-    code, _, err = run(capsys, "eval", "--k", "1", "--N", "2")
+_CHECK_NAMES = ("baryon-equivalence, chi-constants, loop-factor, "
+                "lr-projectors, operator-algebra, pieri-dimensions, "
+                "singlet-counts, symbolic-numeric, unitary-invariance, "
+                "xi-constants")
+
+
+# every range and combination rule beyond argparse's own, with its exact
+# message; where several rules fail, the first in this order is reported
+@pytest.mark.parametrize("argv, message", [
+    ("basis --k 0", "--k must be at least 1"),
+    ("trace-basis --k 0", "--k must be at least 1"),
+    ("correlator --k 0 --N 1 --samples 0", "--k must be at least 1"),
+    ("lr --m -1 --n 1 --N 1", "--m must be at least 0"),
+    ("transient --m 1 --n -1 --N 1", "--n must be at least 0"),
+    ("lr --m 1 --n 1 --N 1", "--N must be at least 2 for this command"),
+    ("transient --m 3 --n 0 --N 1",
+     "--N must be at least 2 for this command"),
+    ("correlator --k 1 --N 1 --seed -1",
+     "--N must be at least 2 for this command"),
+    ("lr --m 0 --n 0 --N 3", "--m and --n cannot both be 0"),
+    ("gram --k 2 --N 0", "--N must be at least 1"),
+    ("eval --k 1 --N 0", "--N must be at least 1"),
+    ("eval --k 1 --N 0 --output .", "--N must be at least 1"),
+    ("verify --check nonesuch --check loop-factor --check other",
+     f"unknown checks: nonesuch, other (available: {_CHECK_NAMES})"),
+    ("correlator --k 1 --N 2 --samples 0 --seed -1",
+     "--samples must be at least 1"),
+    ("correlator --k 1 --N 2 --seed -1 --tolerance 0",
+     "--seed must be at least 0"),
+    ("correlator --k 1 --N 2 --tolerance 0", "--tolerance must be positive"),
+    ("correlator --k 1 --N 2 --tolerance nan",
+     "--tolerance must be positive"),
+])
+def test_config_error_messages(capsys, argv, message):
+    code, out, err = run(capsys, *argv.split())
     assert code == 2
-    assert "BIRDTRACK_THREADS" in json.loads(err)["error"]["message"]
-    monkeypatch.setenv("BIRDTRACK_THREADS", "2")
-    code, out, _ = run(capsys, "eval", "--k", "1", "--N", "2")
-    assert code == 0
-    assert ": 1" in out
+    assert out == ""
+    assert json.loads(err) == {"schema": "1",
+                               "error": {"code": 2, "message": message}}
+
+
+@pytest.mark.parametrize("case", ["empty", "directory", "missing",
+                                  "readonly"])
+def test_output_config_error_messages(capsys, monkeypatch, tmp_path, case):
+    missing = str(tmp_path / "missing")
+    path, message = {
+        "empty": ("", "--output must name a file"),
+        "directory": (str(tmp_path), f"--output {tmp_path} is a directory"),
+        "missing": (missing + "/x.txt",
+                    f"--output directory {missing} does not exist"),
+        "readonly": (str(tmp_path / "x.txt"),
+                     f"--output directory {tmp_path} is not writable"),
+    }[case]
+    if case == "readonly":
+        # a root user may write anywhere, so the refusal is simulated
+        monkeypatch.setattr(os, "access", lambda *args: False)
+    code, out, err = run(capsys, "eval", "--k", "1", "--N", "2",
+                         "--output", path)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err) == {"schema": "1",
+                               "error": {"code": 2, "message": message}}
+
+
+@pytest.mark.parametrize("argv, formats", [
+    ("basis --k 1", ("text", "json", "latex")),
+    ("gram --k 1", ("text", "json", "latex")),
+    ("singlets --k 1", ("text", "json", "latex")),
+    ("trace-basis --k 1", ("text", "json", "latex")),
+    ("lr --m 1 --n 0 --N 2", ("text", "json", "latex")),
+    ("transient --m 1 --n 0 --N 2", ("text", "json", "latex")),
+    ("eval --k 1 --N 2", ("text", "json")),
+    ("verify --check loop-factor", ("text", "json")),
+    ("correlator --k 1 --N 2", ("text", "json")),
+])
+def test_each_command_accepts_exactly_its_formats(capsys, argv, formats):
+    for fmt in ("text", "json", "latex", "xml"):
+        code, out, err = run(capsys, *argv.split(), "--format", fmt)
+        if fmt in formats:
+            assert code == 0, (argv, fmt, err)
+            assert out and err == ""
+        else:
+            assert code == 2, (argv, fmt)
+            assert out == ""
+            message = json.loads(err)["error"]["message"]
+            assert message.startswith(
+                f"argument --format: invalid choice: '{fmt}'"), message
+
+
+def test_thread_environment_variable_is_ignored(capsys, monkeypatch):
+    monkeypatch.delenv("BIRDTRACK_THREADS", raising=False)
+    unset = run(capsys, "eval", "--k", "1", "--N", "2")
+    assert unset == (0, "singlet count for k=1 at N=2 (trace source): 1\n",
+                     "")
+    for value in ("0", "abc"):
+        monkeypatch.setenv("BIRDTRACK_THREADS", value)
+        assert run(capsys, "eval", "--k", "1", "--N", "2") == unset
 
 
 def test_output_flag_writes_file(capsys, tmp_path):

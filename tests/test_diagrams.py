@@ -506,6 +506,15 @@ def test_ket_inner_product_random_mixed_radicands(pair):
         assert got.eval_float(n) == pytest.approx(dense, rel=1e-9, abs=1e-9)
 
 
+@settings(max_examples=25, deadline=None)
+@given(mixed_radical_kets())
+def test_ketbra_keeps_every_term_pair(pair):
+    # u's matching fixes the left side and v's the right, so no two term
+    # pairs of |u><v| share a diagram
+    u, v = pair
+    assert ketbra(u, v).n_terms() == u.n_terms() * v.n_terms()
+
+
 # -- shared kernels: cached matchings and the loop-count memo -----------------
 
 def test_cached_matchings_are_read_only():

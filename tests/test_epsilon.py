@@ -25,7 +25,12 @@ from birdtracks.epsilon import (
     transient_singlet_projector,
     verify_baryon_equivalence,
 )
-from birdtracks.errors import BadBlockSize, DimensionMismatch, OutOfRange
+from birdtracks.errors import (
+    BadBlockSize,
+    BirdtrackError,
+    DimensionMismatch,
+    OutOfRange,
+)
 from birdtracks.numeric import ExactTensor, evaluate
 from birdtracks.symmetrizers import antisymmetrizer
 from birdtracks.tracebasis import adjoint_pair_diagram, pair_singlet_projector
@@ -263,6 +268,8 @@ def test_lr_pair_projector_adjoint_matches_fierz_form():
 
 def test_lr_pair_projector_unknown_kind():
     with pytest.raises(ValueError):
+        lr_pair_projector("octet", 3)
+    with pytest.raises(BirdtrackError):
         lr_pair_projector("octet", 3)
 
 

@@ -219,8 +219,7 @@ def test_cached_singlet_counts_match_hook_lengths():
 
 
 def test_pole_check_precedes_and_survives_the_cached_gram():
-    for cache in (singlets._count_states, singlets._count_denominators,
-                  singlets._count_gram):
+    for cache in (singlets._count_states, singlets._count_gram):
         cache.cache_clear()
     with pytest.raises(PoleAtN, match="state 16 .*N=1"):
         singlet_count(4, 1, "trace+orthogonalize")

@@ -10,7 +10,12 @@ from birdtracks.diagrams import (
     inner_product,
     zero,
 )
-from birdtracks.errors import NotProportional, OutOfRange, UnsupportedK
+from birdtracks.errors import (
+    BirdtrackError,
+    NotProportional,
+    OutOfRange,
+    UnsupportedK,
+)
 from birdtracks.numeric import evaluate
 from birdtracks.symmetrizers import (
     StandardTableau,
@@ -108,6 +113,10 @@ def test_young_shape_and_tableau_parsing():
         StandardTableau.from_text("2 1 / 3")         # row not increasing
     with pytest.raises(OutOfRange):
         StandardTableau.from_text("1 2 / 2")         # not a bijection
+    with pytest.raises(BirdtrackError):
+        StandardTableau.from_text("1 x")             # not an integer
+    with pytest.raises(BirdtrackError):
+        young_projector("1 x")
 
 
 def test_young_projector_extremes():
