@@ -257,7 +257,7 @@ class RationalFunction:
 
     def as_fraction(self) -> Fraction:
         if not self.is_constant():
-            raise ValueError(f"{self} is not a constant")
+            raise OutOfRange(f"{self} is not a constant")
         return Fraction(self.num[0], self.den[0]) if self.num else Fraction(0)
 
     def monic(self) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
@@ -309,11 +309,12 @@ class RationalFunction:
     # -- evaluation and display ---------------------------------------------
 
     def eval_at(self, n: int | Fraction) -> Fraction:
-        x = Fraction(n)
+        # at an integer n both polynomials evaluate in integers
+        x = n if isinstance(n, int) else Fraction(n)
         d = _p_eval(self.den, x)
         if d == 0:
             raise PoleAtN(f"denominator of {self} vanishes at N={n}")
-        return _p_eval(self.num, x) / d
+        return Fraction(_p_eval(self.num, x), d)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -555,14 +556,16 @@ class RadicalCoefficient:
         contributes value * sqrt(d); negative d is kept formal.
         """
         out: dict[int, Fraction] = {}
+        x = n if isinstance(n, int) else Fraction(n)
         for key, mult in self.terms.items():
             m = mult.eval_at(n)
             if key != _UNIT_KEY:
-                r = _p_eval(key, Fraction(n))
+                r = _p_eval(key, x)
                 if r == 0:
                     continue
                 sign = 1 if r > 0 else -1
                 r = abs(r)
+                # r is an int at an integer n; ints have both fields too
                 s_num, d_num = _int_square_split(r.numerator)
                 s_den, d_den = _int_square_split(r.denominator)
                 # sqrt(dn/dd) = sqrt(dn*dd)/dd

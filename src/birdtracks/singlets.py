@@ -11,21 +11,29 @@ without ever expanding, counts how many survive at a given integer N,
 and spots states that are dimensionally null.
 """
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 from .coefficients import RadicalCoefficient, _p_eval, sqrt
 from .diagrams import (
+    OPERATOR,
     InvariantElement,
+    Signature,
     _gram_form,
     format_cycles,
     inner_product,
     ketbra,
+    zero,
 )
 from .errors import OutOfRange, PoleAtN
 from .numeric import exact_rank
 from .symmetrizers import builtin_orthogonal_basis
-from .tracebasis import normalized_trace_basis, raw_trace_states
+from .tracebasis import (
+    derangement_block,
+    normalized_trace_basis,
+    raw_trace_states,
+)
 
 PROJECTOR = "projector"
 TRANSITION = "transition"
@@ -135,6 +143,8 @@ def rank_one_product(a: SingletOperator, b: SingletOperator) -> InvariantElement
     b's bra, carrying both normalizations.
     """
     weight = a.normalization * b.normalization * inner_product(a.bra, b.ket)
+    if weight.is_zero():
+        return zero(Signature(a.ket.sig.orientations, OPERATOR))
     return ketbra(a.ket, b.bra.scaled(weight))
 
 
@@ -229,9 +239,8 @@ def is_dimensionally_null(state: InvariantElement, n: int) -> bool:
     return all(value == 0 for value in parts.values())
 
 
-# singlet_count keeps, per (k, source), the states and their symbolic Gram
-# matrix for the life of the process: a count at any N is that one matrix
-# specialised at N.
+# singlet_count keeps each symbolic Gram matrix it ranks for the life of
+# the process: a count at any N is that matrix specialised at N.
 
 @lru_cache(maxsize=None)
 def _count_states(k: int, source: str) -> tuple:
@@ -244,9 +253,19 @@ def _count_states(k: int, source: str) -> tuple:
     return tuple(basis_states(k, source)), None
 
 
+def _indexed(gram) -> tuple:
+    """A Gram matrix over Q(N) as (distinct entries, rows of indices into
+    them), so that each distinct entry is evaluated once per N."""
+    distinct = {}
+    index = tuple(tuple(distinct.setdefault(entry, len(distinct))
+                        for entry in row)
+                  for row in gram)
+    return tuple(distinct), index
+
+
 @lru_cache(maxsize=None)
 def _count_gram(k: int, source: str) -> tuple:
-    """The Gram matrix as (distinct entries, rows of indices into them).
+    """The source states' Gram matrix, indexed.
 
     Orthogonal states have the diagonal Gram matrix of their norms, which
     the basis normalizations give without an inner product.
@@ -255,14 +274,23 @@ def _count_gram(k: int, source: str) -> tuple:
     if norms is None:
         gram = gram_matrix(states)
     else:
-        zero = RadicalCoefficient.zero()
-        gram = [[norm if i == j else zero for j in range(len(norms))]
+        zero_norm = RadicalCoefficient.zero()
+        gram = [[norm if i == j else zero_norm for j in range(len(norms))]
                 for i, norm in enumerate(norms)]
-    distinct = {}
-    index = tuple(tuple(distinct.setdefault(entry, len(distinct))
-                        for entry in row)
-                  for row in gram)
-    return tuple(distinct), index
+    return _indexed([[entry.rational_part() for entry in row]
+                     for row in gram])
+
+
+@lru_cache(maxsize=None)
+def _derangement_gram(s: int) -> tuple:
+    """D_s of derangement_block, indexed."""
+    return _indexed(derangement_block(s)[1])
+
+
+def _rank_at(indexed, n: int) -> int:
+    entries, index = indexed
+    values = [entry.eval_at(n) for entry in entries]
+    return exact_rank([[values[j] for j in row] for row in index])
 
 
 def singlet_count(k: int, n: int, source: str = "trace") -> int:
@@ -270,12 +298,24 @@ def singlet_count(k: int, n: int, source: str = "trace") -> int:
 
     Exact rank of the Gram matrix of the source states specialized at n.
     A source state with a coefficient that has a pole at n does not
-    specialize, and raises PoleAtN.
+    specialize, and raises PoleAtN.  The trace states' Gram matrix is
+    block diagonal by moved set, the block of each of the C(k, s) moved
+    sets with s points being N^(k-s) D_s (see derangement_block), so the
+    trace count is 1 + sum_{s=2..k} C(k, s) rank D_s(n): the identity
+    state, then the derangement states on s points, and the k! trace
+    states are never built.
     """
     if n < 1:
         raise OutOfRange("N must be a positive integer")
-    _require_finite(_count_states(k, source)[0], n,
-                    lambda i: f"{source} state {i}")
-    entries, index = _count_gram(k, source)
-    values = [entry.eval_rational(n) for entry in entries]
-    return exact_rank([[values[j] for j in row] for row in index])
+    if source != "trace":
+        _require_finite(_count_states(k, source)[0], n,
+                        lambda i: f"{source} state {i}")
+        return _rank_at(_count_gram(k, source), n)
+    if k < 1:
+        raise OutOfRange("k must be at least 1")
+    count = 1
+    for s in range(2, k + 1):
+        _require_finite(derangement_block(s)[0], n,
+                        lambda i: f"derangement trace state {i} on {s} points")
+        count += math.comb(k, s) * _rank_at(_derangement_gram(s), n)
+    return count

@@ -12,6 +12,7 @@ combinations that appear at k = 3, and normalized projector families.
 
 import itertools
 from fractions import Fraction
+from functools import lru_cache
 
 from .coefficients import (
     RadicalCoefficient,
@@ -123,8 +124,8 @@ class CycleDecomposition:
 
 
 def _neg_inv_n_power(j: int) -> RationalFunction:
-    # (-1/N)^j
-    return rf([(-1) ** j], [0] * j + [1])
+    # (-1/N)^j, already in canonical form
+    return RationalFunction(((-1) ** j,), (0,) * j + (1,), _reduced=True)
 
 
 def _cycle_terms(cycle: tuple[int, ...]):
@@ -150,7 +151,8 @@ def _cycle_terms(cycle: tuple[int, ...]):
                 part[p] = subset[(i + 1) % size]
             terms.append((part, weight))
     all_deltas = {p: p for p in cycle}
-    terms.append((all_deltas, _neg_inv_n_power(ell - 1) * rf([ell - 1])))
+    terms.append((all_deltas, _neg_inv_n_power(ell - 1)
+                  * RationalFunction((ell - 1,), _ONE, _reduced=True)))
     return terms
 
 
@@ -170,13 +172,13 @@ def trace_basis_state(rho) -> InvariantElement:
     per_cycle = []
     for cycle in rho.cycles:
         if len(cycle) == 1:
-            per_cycle.append([({cycle[0]: cycle[0]}, rf([1]))])
+            per_cycle.append([({cycle[0]: cycle[0]}, _RF_ONE)])
         else:
             per_cycle.append(_cycle_terms(cycle))
     out = []
     for combo in itertools.product(*per_cycle):
         links = {}
-        weight = rf([1])
+        weight = _RF_ONE
         for part, w in combo:
             links.update(part)
             weight = weight * w
@@ -261,6 +263,27 @@ def raw_trace_states(k: int):
     return [trace_basis_state(rho) for rho in all_decompositions(k)]
 
 
+@lru_cache(maxsize=None)
+def derangement_block(s: int):
+    """The derangement trace states on s points and their Gram matrix D_s.
+
+    Returns (states, gram) as tuples: derangement_states(s) and their
+    inner products <i|j> over Q(N).  The Gram matrix of
+    raw_trace_states(k) is block diagonal by moved set.  The states whose
+    moved set S has s points, in all_decompositions(k) order, have the
+    block N^(k-s) D_s: relabelling S onto 1..s in order keeps that order,
+    and each fixed point is a delta pair that closes one loop.  States
+    with different moved sets are orthogonal, since a delta pair glued to
+    a moved pair traces a generator, and Tr t^a = 0.
+    """
+    from .singlets import gram_matrix
+
+    states = tuple(derangement_states(s))
+    gram = tuple(tuple(entry.rational_part() for entry in row)
+                 for row in gram_matrix(states))
+    return states, gram
+
+
 def normalized_trace_basis(k: int):
     """k! singlet projectors built from orthogonalized trace states.
 
@@ -268,24 +291,44 @@ def normalized_trace_basis(k: int):
     what Gram-Schmidt would give, but from their Gram matrix G alone: G
     factors as L D L^T over Q(N) with L unit lower triangular, ket i is
     row i of L^-1 applied to the states, and its norm is the pivot D_i.
-    For k = 3 the two 3-cycle states are first replaced by their
-    difference and sum, reproducing the xi-pattern normalizations; the
-    family is then already orthogonal and passes through unchanged.
+    G is block diagonal by moved set (see derangement_block), so L is
+    too: the block of every moved set with s points is N^(k-s) D_s, which
+    is factored once per s, and each ket combines only the states of its
+    own block.  For k = 3 the two 3-cycle states are first replaced by
+    their difference and sum, reproducing the xi-pattern normalizations;
+    the family is then already orthogonal and passes through unchanged.
     """
-    from .singlets import _ket_projector, gram_matrix
+    from .singlets import _ket_projector
 
     states = raw_trace_states(k)
     if k == 3:
         s123, s132 = states[4], states[5]
         states[4] = s123 - s132
         states[5] = s123 + s132
-    gram = [[entry.rational_part() for entry in row]
-            for row in gram_matrix(states)]
-    lower, pivots = _ldl(gram)
-    kets = _combine(_unit_lower_inverse(lower), states)
-    return [_ket_projector(ket, labels=(i,),
-                           norm=RadicalCoefficient.from_rational(pivot))
-            for i, (ket, pivot) in enumerate(zip(kets, pivots))]
+    blocks = {}
+    for i, rho in enumerate(all_decompositions(k)):
+        moved = tuple(p for p, x in enumerate(rho.to_permutation()) if x != p)
+        blocks.setdefault(moved, []).append(i)
+    factors = {}
+    ops = [None] * len(states)
+    for moved, indices in blocks.items():
+        s = len(moved)
+        if s not in factors:
+            gram = derangement_block(s)[1] if s else ((_RF_ONE,),)
+            if k == 3 and s == 3:
+                # the Gram matrix of the difference and the sum
+                (a, b), (_, c) = gram
+                gram = ((a - 2 * b + c, a - c), (a - c, a + 2 * b + c))
+            lower, block_pivots = _ldl(gram)
+            scale = RationalFunction.variable() ** (k - s)
+            factors[s] = (_unit_lower_inverse(lower),
+                          [scale * pivot for pivot in block_pivots])
+        inverse, block_pivots = factors[s]
+        block_kets = _combine(inverse, [states[i] for i in indices])
+        for i, ket, pivot in zip(indices, block_kets, block_pivots):
+            ops[i] = _ket_projector(
+                ket, labels=(i,), norm=RadicalCoefficient.from_rational(pivot))
+    return ops
 
 
 def _ldl(gram):

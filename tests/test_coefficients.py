@@ -16,6 +16,7 @@ from birdtracks.coefficients import (
     sqrt,
 )
 from birdtracks.errors import (
+    BirdtrackError,
     DivisionByZero,
     OutOfRange,
     PoleAtN,
@@ -86,6 +87,13 @@ def test_eval_at():
     chi2 = rf([3], [0, -1, 0, 1])  # 3/(N^3 - N)
     assert chi2.eval_at(2) == Fraction(1, 2)
     assert rf([-1, 0, 1]).eval_at(5) == 24
+
+
+def test_as_fraction_of_a_non_constant_is_out_of_range():
+    assert rf([3], [4]).as_fraction() == Fraction(3, 4)
+    for caught in (BirdtrackError, ValueError):
+        with pytest.raises(caught):
+            rf([0, 1]).as_fraction()
 
 
 def test_eval_at_pole():

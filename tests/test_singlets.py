@@ -101,6 +101,14 @@ def test_rank_one_product_matches_expansion():
         assert rank_one_product(a, b) == compose(a.expand(), b.expand())
 
 
+def test_product_of_orthogonal_projectors_is_zero():
+    p1, p2 = singlet_basis(3, "builtin")[:2]
+    product = rank_one_product(p1, p2)
+    assert product.is_zero()
+    assert product == zero(operator_signature(3, 3))
+    assert product == compose(p1.expand(), p2.expand())
+
+
 def test_transition_of_equal_operators_is_the_projector():
     o = builtin_orthogonal_basis(3)[1]
     assert transition_operator(o, o).expand() == singlet_projector(o).expand()

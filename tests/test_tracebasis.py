@@ -16,12 +16,13 @@ from birdtracks.diagrams import (
 )
 from birdtracks.errors import InvalidDecomposition, OutOfRange
 from birdtracks.numeric import evaluate, exact_rank, generalized_gell_mann
-from birdtracks.singlets import _ket_projector
+from birdtracks.singlets import _ket_projector, gram_matrix, singlet_count
 from birdtracks.symmetrizers import gram_schmidt
 from birdtracks.tracebasis import (
     CycleDecomposition,
     adjoint_pair_diagram,
     all_decompositions,
+    derangement_block,
     derangement_states,
     df_states,
     normalized_trace_basis,
@@ -328,8 +329,50 @@ def test_normalized_trace_basis_matches_gram_schmidt(k):
 
 
 def test_dependent_trace_states_are_refused(monkeypatch):
-    e, swap = raw_trace_states(2)
-    monkeypatch.setattr(tracebasis, "raw_trace_states",
-                        lambda k: [e, swap, e.scaled(2) - swap])
+    # the basis factors the derangement Gram blocks, so make the k=2 block
+    # that of the swap state and twice the swap state
+    (swap,), _ = tracebasis.derangement_block(2)
+    states = (swap, swap.scaled(2))
+    gram = tuple(tuple(inner_product(a, b).rational_part() for b in states)
+                 for a in states)
+    monkeypatch.setattr(tracebasis, "derangement_block",
+                        lambda s: (states, gram))
     with pytest.raises(InvalidDecomposition, match="linearly dependent"):
         normalized_trace_basis(2)
+
+
+def _moved_set(rho):
+    return frozenset(i for i, x in enumerate(rho.to_permutation()) if x != i)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_trace_gram_is_block_diagonal_by_moved_set(k):
+    # in the full Gram matrix, states with different moved sets are
+    # orthogonal, and the block of a moved set S is N^(k-|S|) D_|S|
+    moved = [_moved_set(rho) for rho in all_decompositions(k)]
+    gram = gram_matrix(raw_trace_states(k))
+    blocks = {}
+    for i, ms in enumerate(moved):
+        blocks.setdefault(ms, []).append(i)
+    for i, row in enumerate(gram):
+        for j, entry in enumerate(row):
+            if moved[i] != moved[j]:
+                assert entry.is_zero(), (i, j)
+    for ms, indices in blocks.items():
+        s = len(ms)
+        d = derangement_block(s)[1] if s else [[rf([1])]]
+        assert len(d) == len(indices)
+        scale = rf([0] * (k - s) + [1])
+        for a, i in enumerate(indices):
+            for b, j in enumerate(indices):
+                assert gram[i][j] == scale * d[a][b], (ms, i, j)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_trace_singlet_count_is_the_rank_of_the_full_gram(k):
+    # the reference route: the k!-by-k! Gram matrix of the raw states
+    gram = gram_matrix(raw_trace_states(k))
+    for n in range(1, 9):
+        want = exact_rank([[entry.eval_rational(n) for entry in row]
+                           for row in gram])
+        assert singlet_count(k, n, "trace") == want, (k, n)
