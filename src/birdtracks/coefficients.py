@@ -628,6 +628,9 @@ class RadicalCoefficient:
         terms = {}
         for item in data:
             key = tuple(int(c) for c in item["radicand"])
+            # a radicand that splits off a square would break equality
+            if not key or not key[-1] or _canonical_sqrt(key) != (1, key):
+                raise OutOfRange(f"radicand {list(key)} is not canonical")
             terms[key] = RationalFunction.from_json(item["multiplier"])
         return cls(terms)
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from operator import itemgetter
+from operator import index, itemgetter
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .diagrams import FUND, InvariantElement
@@ -98,6 +98,17 @@ def _element_axes(element: InvariantElement) -> int:
     return 2 * k if element.sig.is_operator() else k
 
 
+def _positive_n(n) -> int:
+    """n as an int; OutOfRange unless it is an integer of at least 1."""
+    try:
+        n = index(n)
+    except TypeError:
+        n = 0
+    if n < 1:
+        raise OutOfRange("N must be a positive integer")
+    return n
+
+
 def _check_cap(n: int, axes: int):
     if n ** axes > DENSE_CAP:
         raise OutOfRange(
@@ -127,8 +138,7 @@ def integer_entries(element: InvariantElement,
     and only the nonzero nums kept.  Coefficients must evaluate
     rationally.
     """
-    if n < 1:
-        raise OutOfRange(f"need n >= 1, got {n}")
+    n = _positive_n(n)
     axes = _element_axes(element)
     _check_cap(n, axes)
     values = [(diag, coeff.eval_rational(n))
@@ -160,8 +170,7 @@ def evaluate_float(element: InvariantElement, n: int) -> np.ndarray:
     """Dense complex tensor of an element at N = n; radicals allowed."""
     import numpy as np
 
-    if n < 1:
-        raise OutOfRange(f"need n >= 1, got {n}")
+    n = _positive_n(n)
     axes = _element_axes(element)
     _check_cap(n, axes)
     out = np.zeros((n,) * axes, dtype=complex)

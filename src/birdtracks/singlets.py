@@ -27,7 +27,7 @@ from .diagrams import (
     zero,
 )
 from .errors import OutOfRange, PoleAtN
-from .numeric import exact_rank
+from .numeric import _positive_n, exact_rank
 from .symmetrizers import builtin_orthogonal_basis
 from .tracebasis import (
     derangement_block,
@@ -232,90 +232,62 @@ def is_dimensionally_null(state: InvariantElement, n: int) -> bool:
     state is the zero tensor exactly when its norm evaluates to zero.
     A state with a coefficient that has a pole at n raises PoleAtN.
     """
-    if n < 1:
-        raise OutOfRange("N must be a positive integer")
+    n = _positive_n(n)
     _require_finite([state], n, lambda i: "the state")
     parts = inner_product(state, state).eval_at(n)
     return all(value == 0 for value in parts.values())
 
 
-# singlet_count keeps each symbolic Gram matrix it ranks for the life of
-# the process: a count at any N is that matrix specialised at N.
+# singlet_count keeps what it specialises for the life of the process: the
+# norms of an orthogonal source, and each derangement Gram matrix D_s.
 
 @lru_cache(maxsize=None)
-def _count_states(k: int, source: str) -> tuple:
-    """The source states, and their norms <i|i> if the source makes them
-    orthogonal (None otherwise)."""
-    if source == "trace+orthogonalize":
-        basis = singlet_basis(k, source)
-        return (tuple(op.ket for op in basis),
-                tuple(1 / op.normalization for op in basis))
-    return tuple(basis_states(k, source)), None
-
-
-def _indexed(gram) -> tuple:
-    """A Gram matrix over Q(N) as (distinct entries, rows of indices into
-    them), so that each distinct entry is evaluated once per N."""
-    distinct = {}
-    index = tuple(tuple(distinct.setdefault(entry, len(distinct))
-                        for entry in row)
-                  for row in gram)
-    return tuple(distinct), index
-
-
-@lru_cache(maxsize=None)
-def _count_gram(k: int, source: str) -> tuple:
-    """The source states' Gram matrix, indexed.
-
-    Orthogonal states have the diagonal Gram matrix of their norms, which
-    the basis normalizations give without an inner product.
-    """
-    states, norms = _count_states(k, source)
-    if norms is None:
-        gram = gram_matrix(states)
-    else:
-        zero_norm = RadicalCoefficient.zero()
-        gram = [[norm if i == j else zero_norm for j in range(len(norms))]
-                for i, norm in enumerate(norms)]
-    return _indexed([[entry.rational_part() for entry in row]
-                     for row in gram])
+def _orthogonal_norms(k: int, source: str) -> tuple:
+    """The kets of an orthogonal source and their norms <i|i> = 1/beta_i,
+    read off the basis normalizations rather than a Gram matrix."""
+    basis = singlet_basis(k, source)
+    return (tuple(op.ket for op in basis),
+            tuple((1 / op.normalization).rational_part() for op in basis))
 
 
 @lru_cache(maxsize=None)
 def _derangement_gram(s: int) -> tuple:
-    """D_s of derangement_block, indexed."""
-    return _indexed(derangement_block(s)[1])
-
-
-def _rank_at(indexed, n: int) -> int:
-    entries, index = indexed
-    values = [entry.eval_at(n) for entry in entries]
-    return exact_rank([[values[j] for j in row] for row in index])
+    """D_s of derangement_block as (distinct entries, rows of indices into
+    them), so that each distinct entry is evaluated once per N."""
+    distinct = {}
+    index = tuple(tuple(distinct.setdefault(entry, len(distinct))
+                        for entry in row)
+                  for row in derangement_block(s)[1])
+    return tuple(distinct), index
 
 
 def singlet_count(k: int, n: int, source: str = "trace") -> int:
     """Number of independent singlet states of Mixed(k,k) at N = n.
 
-    Exact rank of the Gram matrix of the source states specialized at n.
-    A source state with a coefficient that has a pole at n does not
-    specialize, and raises PoleAtN.  The trace states' Gram matrix is
-    block diagonal by moved set, the block of each of the C(k, s) moved
-    sets with s points being N^(k-s) D_s (see derangement_block), so the
-    trace count is 1 + sum_{s=2..k} C(k, s) rank D_s(n): the identity
-    state, then the derangement states on s points, and the k! trace
-    states are never built.
+    Two routes, by source.  builtin and trace+orthogonalize are
+    orthogonal, so their count is the number of basis norms
+    <i|i> = 1/beta_i that do not vanish at n.  The trace states' Gram
+    matrix is block diagonal by moved set, the block of each of the
+    C(k, s) moved sets with s points being N^(k-s) D_s (see
+    derangement_block), so the trace count is
+    1 + sum_{s=2..k} C(k, s) rank D_s(n): the identity state, then the
+    derangement states on s points, and the k! trace states are never
+    built.  On either route a source state with a coefficient that has
+    a pole at n does not specialize, and raises PoleAtN.
     """
-    if n < 1:
-        raise OutOfRange("N must be a positive integer")
+    n = _positive_n(n)
     if source != "trace":
-        _require_finite(_count_states(k, source)[0], n,
-                        lambda i: f"{source} state {i}")
-        return _rank_at(_count_gram(k, source), n)
+        kets, norms = _orthogonal_norms(k, source)
+        _require_finite(kets, n, lambda i: f"{source} state {i}")
+        return sum(1 for norm in norms if norm.eval_at(n))
     if k < 1:
         raise OutOfRange("k must be at least 1")
     count = 1
     for s in range(2, k + 1):
         _require_finite(derangement_block(s)[0], n,
                         lambda i: f"derangement trace state {i} on {s} points")
-        count += math.comb(k, s) * _rank_at(_derangement_gram(s), n)
+        entries, index = _derangement_gram(s)
+        values = [entry.eval_at(n) for entry in entries]
+        count += math.comb(k, s) * exact_rank([[values[j] for j in row]
+                                               for row in index])
     return count

@@ -186,6 +186,29 @@ def test_json_round_trip():
     assert RationalFunction.from_json(r.to_json()) == r
 
 
+@pytest.mark.parametrize("radicand", [[0, 0, 1], [4], [], [0], [1, 0]])
+def test_json_refuses_non_canonical_radicands(radicand):
+    # sqrt(N^2) and sqrt(4) would compare unequal to N and 2, and an empty
+    # radicand would be a nonzero coefficient that evaluates to {}
+    data = [{"radicand": radicand, "multiplier": rf([1]).to_json()}]
+    with pytest.raises(OutOfRange, match="not canonical"):
+        RadicalCoefficient.from_json(data)
+
+
+def test_json_round_trip_of_the_builtin_singlet_table():
+    from birdtracks.singlets import singlet_table
+
+    coeffs = []
+    for row in singlet_table(3, "builtin"):
+        for op in row:
+            coeffs.append(op.normalization)
+            for state in (op.ket, op.bra):
+                coeffs.extend(state.terms.values())
+    assert any(not c.is_rational() for c in coeffs)
+    for c in coeffs:
+        assert RadicalCoefficient.from_json(c.to_json()) == c
+
+
 def test_equal_values_hash_equal():
     # constants compare equal to ints and Fractions, so dict lookups by the
     # plain number must find them

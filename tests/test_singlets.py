@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,7 +15,12 @@ from birdtracks.diagrams import (
     zero,
 )
 from birdtracks.errors import BirdtrackError, OutOfRange, PoleAtN, UnsupportedK
-from birdtracks.numeric import apply_per_leg, evaluate, sample_special_unitary
+from birdtracks.numeric import (
+    apply_per_leg,
+    evaluate,
+    evaluate_float,
+    sample_special_unitary,
+)
 from birdtracks.singlets import (
     SingletOperator,
     basis_states,
@@ -29,7 +35,7 @@ from birdtracks.singlets import (
     transition_operator,
 )
 from birdtracks.symmetrizers import antisymmetrizer, builtin_orthogonal_basis, symmetrizer
-from birdtracks.tracebasis import df_states, pair_singlet_projector
+from birdtracks.tracebasis import df_states, pair_singlet_projector, trace_basis_state
 
 
 def rc(num, den=(1,)):
@@ -175,6 +181,19 @@ def test_singlet_counts():
         singlet_count(2, 0)
 
 
+@pytest.mark.parametrize("call", [
+    lambda n: singlet_count(3, n),
+    lambda n: is_dimensionally_null(symmetrizer([1, 2], 2).bend(), n),
+    lambda n: evaluate(trace_basis_state("(1 2)"), n),
+    lambda n: evaluate_float(trace_basis_state("(1 2)"), n),
+], ids=["singlet_count", "is_dimensionally_null", "evaluate", "evaluate_float"])
+def test_non_integer_n_is_out_of_range(call):
+    for n in (2.5, 2.0, Fraction(5, 2), "2", None):
+        with pytest.raises(OutOfRange, match="N must be a positive integer"):
+            call(n)
+    call(np.int64(2))
+
+
 def test_singlet_count_refuses_states_with_a_pole():
     # orthogonalized k=4 states 16, 20 and 22 carry coefficients with a
     # pole at N=1, so they have no value there; their norms stay finite
@@ -227,11 +246,9 @@ def test_cached_singlet_counts_match_hook_lengths():
 
 
 def test_pole_check_precedes_and_survives_the_cached_gram():
-    for cache in (singlets._count_states, singlets._count_gram):
-        cache.cache_clear()
+    singlets._orthogonal_norms.cache_clear()
     with pytest.raises(PoleAtN, match="state 16 .*N=1"):
         singlet_count(4, 1, "trace+orthogonalize")
-    assert singlets._count_gram.cache_info().currsize == 0
     assert singlet_count(4, 2, "trace+orthogonalize") == 14
     with pytest.raises(PoleAtN, match="state 16 .*N=1"):
         singlet_count(4, 1, "trace+orthogonalize")
@@ -239,17 +256,20 @@ def test_pole_check_precedes_and_survives_the_cached_gram():
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_orthogonalized_counts_match_the_dense_gram_rank(k):
-    # the counts read the Gram matrix off the basis normalizations; the
-    # full Gram matrix of the kets must have the same rank
+    # the counts of an orthogonal source read only the basis norms; the
+    # full Gram matrix of the kets must be diagonal and have the same rank
     from birdtracks.numeric import exact_rank
 
-    gram = gram_matrix(basis_states(k, "trace+orthogonalize"))
-    assert all(entry.is_zero() for i, row in enumerate(gram)
-               for j, entry in enumerate(row) if i != j)
-    for n in range(2, 9):
-        dense = exact_rank([[entry.eval_rational(n) for entry in row]
-                            for row in gram])
-        assert singlet_count(k, n, "trace+orthogonalize") == dense, (k, n)
+    # the orthogonalized k=4 states have a pole at N=1, builtin has none
+    sources = [("trace+orthogonalize", 2)] + [("builtin", 1)] * (k <= 3)
+    for source, first in sources:
+        gram = gram_matrix(basis_states(k, source))
+        assert all(entry.is_zero() for i, row in enumerate(gram)
+                   for j, entry in enumerate(row) if i != j)
+        for n in range(first, 9):
+            dense = exact_rank([[entry.eval_rational(n) for entry in row]
+                                for row in gram])
+            assert singlet_count(k, n, source) == dense, (k, n, source)
     if k == 4:
         with pytest.raises(PoleAtN, match="state 16 .*N=1"):
             singlet_count(4, 1, "trace+orthogonalize")

@@ -173,6 +173,13 @@ def test_four_cycle_state_matches_explicit_generators():
         assert abs(num - _as_dense(state, n, 4)).max() < 1e-12
 
 
+def test_five_cycle_state_matches_explicit_generators():
+    # 3^5 generator words at N=2; the closed form is general in the length
+    state = trace_basis_state("(1 5 4 3 2)")
+    num = _generator_state(2, 5, (1, 2, 3, 4, 5))
+    assert abs(num - _as_dense(state, 2, 5)).max() < 1e-12
+
+
 def test_four_cycle_norm():
     c4 = trace_basis_state("(1 2 3 4)")
     assert inner_product(c4, c4) == rc([-3, 0, 6, 0, -4, 0, 1], [0, 0, 1])
