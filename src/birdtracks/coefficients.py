@@ -341,8 +341,21 @@ class RationalFunction:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "RationalFunction":
-        return cls.from_coeff_lists(map(Fraction, data["num"]),
-                                    map(Fraction, data["den"]))
+        """Inverse of to_json: "num" and "den" are lists of rational strings."""
+        num, den = (_json_list(data, part, str) for part in ("num", "den"))
+        try:
+            num, den = [Fraction(c) for c in num], [Fraction(c) for c in den]
+        except (ValueError, ZeroDivisionError):
+            raise OutOfRange(f"unreadable rational in {data!r}") from None
+        return cls.from_coeff_lists(num, den)
+
+
+def _json_list(data, field: str, kind: type) -> list:
+    """data[field] as to_json writes it: a list whose entries are all kind."""
+    items = data.get(field) if isinstance(data, dict) else None
+    if not isinstance(items, list) or any(type(c) is not kind for c in items):
+        raise OutOfRange(f"{field!r} is not a list of {kind.__name__}: {data!r}")
+    return items
 
 
 def _as_rf(x) -> RationalFunction:
@@ -625,13 +638,17 @@ class RadicalCoefficient:
 
     @classmethod
     def from_json(cls, data) -> "RadicalCoefficient":
+        if not isinstance(data, list):
+            raise OutOfRange(f"radical coefficient is not a list: {data!r}")
         terms = {}
         for item in data:
-            key = tuple(int(c) for c in item["radicand"])
+            key = tuple(_json_list(item, "radicand", int))
             # a radicand that splits off a square would break equality
             if not key or not key[-1] or _canonical_sqrt(key) != (1, key):
                 raise OutOfRange(f"radicand {list(key)} is not canonical")
-            terms[key] = RationalFunction.from_json(item["multiplier"])
+            if key in terms:
+                raise OutOfRange(f"radicand {list(key)} appears twice")
+            terms[key] = RationalFunction.from_json(item.get("multiplier"))
         return cls(terms)
 
 

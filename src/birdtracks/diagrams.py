@@ -40,7 +40,6 @@ from .coefficients import (
 )
 from .errors import (
     MixedRoleTensor,
-    OrientationViolation,
     OutOfRange,
     SignatureMismatch,
 )
@@ -378,26 +377,6 @@ class InvariantElement:
             perm = tuple(slot[pairs[e]] for e in order[k:])
             terms[PrimitiveDiagram(sig, perm)] = coeff
         return InvariantElement(sig, terms)
-
-    def reorder_legs(self, order: Iterable[int]) -> "InvariantElement":
-        """Relabel slots so that new slot j is old slot order[j]."""
-        order = tuple(order)
-        n = self.sig.n_slots
-        if sorted(order) != list(range(n)):
-            raise OrientationViolation(
-                f"{order} is not a permutation of the {n} slots")
-        new_orients = "".join(self.sig.orientations[o] for o in order)
-        new_sig = Signature(new_orients, self.sig.role)
-        pos = {old: new for new, old in enumerate(order)}
-        out = []
-        for diag, coeff in self.terms.items():
-            if self.sig.is_operator():
-                perm = tuple(pos[diag.perm[order[j]]] for j in range(n))
-            else:
-                moved = {pos[a]: pos[b] for a, b in diag.matching().items()}
-                perm = _matching_to_ket_perm(new_orients, moved)
-            out.append((PrimitiveDiagram(new_sig, perm), coeff))
-        return _collect(new_sig, out)
 
     # -- serialization --------------------------------------------------------
 

@@ -37,16 +37,16 @@ class MixedRoleTensor(BirdtrackError):
     """Tensor product of an operator with a ket."""
 
 
-class OrientationViolation(BirdtrackError):
-    """A leg reordering that is not a bijection on slots."""
-
-
 class OutOfRange(BirdtrackError, ValueError):
     """An index or size argument outside its documented domain."""
 
 
 class NotProportional(BirdtrackError):
-    """A Young projector square was not proportional to the projector."""
+    """A translated pair operator whose square is not a nonzero multiple of it.
+
+    lr_pair_projector divides by that multiple to make the operator
+    idempotent, so a zero or inconsistent scale is refused.
+    """
 
 
 class UnsupportedK(BirdtrackError, ValueError):

@@ -18,9 +18,9 @@ import itertools
 import math
 from fractions import Fraction
 from operator import index, itemgetter
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .diagrams import FUND, InvariantElement
+from .diagrams import InvariantElement
 from .errors import DimensionMismatch, OutOfRange
 
 if TYPE_CHECKING:
@@ -258,16 +258,6 @@ def sample_special_unitary(n: int, seed: int) -> np.ndarray:
     return q
 
 
-def unitary_action(u: np.ndarray, orientations: str) -> np.ndarray:
-    """The matrix of ⊗slots (U on 'q', conj(U) on 'b') in slot order."""
-    import numpy as np
-
-    out = np.eye(1, dtype=complex)
-    for o in orientations:
-        out = np.kron(out, u if o == FUND else np.conj(u))
-    return out
-
-
 def apply_per_leg(tensor: np.ndarray,
                   matrices: Sequence[np.ndarray]) -> np.ndarray:
     """Contract matrix i into axis i of the tensor, for every axis."""
@@ -337,9 +327,3 @@ def generalized_gell_mann(n: int) -> list[np.ndarray]:
         diag /= math.sqrt(m * (m + 1))
         gens.append(diag)
     return gens
-
-
-def state_matrix_rows(states: Iterable[InvariantElement],
-                      n: int) -> list[list[Fraction]]:
-    """Each state flattened to one exact row vector; rank gives counts."""
-    return [evaluate(s, n).matrix_rows(0)[0] for s in states]

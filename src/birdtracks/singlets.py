@@ -83,11 +83,6 @@ class SingletOperator:
                    kind=data["kind"], labels=tuple(data["labels"]))
 
 
-def singlet_state(operator: InvariantElement) -> InvariantElement:
-    """Bend an invariant operator into its singlet ket."""
-    return operator.bend()
-
-
 def _ket_projector(ket: InvariantElement, labels: tuple = (),
                    norm: RadicalCoefficient | None = None) -> SingletOperator:
     """The normalized projector onto a ket; zero if the ket's norm is.
@@ -108,17 +103,6 @@ def singlet_projector(operator: InvariantElement,
     A state with identically zero norm produces the zero operator.
     """
     return _ket_projector(operator.bend(), labels)
-
-
-def transition_operator(op_from: InvariantElement, op_to: InvariantElement,
-                        labels: tuple = ()) -> SingletOperator:
-    """The unique transition operator between two bent states.
-
-    Maps the bent image of op_to onto the bent image of op_from; zero if
-    either state vanishes identically.
-    """
-    return _transition(singlet_projector(op_from), singlet_projector(op_to),
-                       labels)
 
 
 def _transition(to: SingletOperator, source: SingletOperator,

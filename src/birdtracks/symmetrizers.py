@@ -1,4 +1,4 @@
-"""Symmetrizers, Young projectors, and the embedded k<=3 Hermitian bases.
+"""Symmetrizers, Young shapes, and the embedded k<=3 Hermitian bases.
 
 Strand labels in the public functions are 1-based, matching cycle notation.
 All operators here live on all-fundamental signatures.
@@ -25,11 +25,10 @@ from .diagrams import (
     _perm_sign,
     compose,
     identity,
-    inner_product,
     parse_cycles,
     permutation_element,
 )
-from .errors import NotProportional, OutOfRange, UnsupportedK
+from .errors import OutOfRange, UnsupportedK
 
 
 @dataclass(frozen=True)
@@ -71,50 +70,6 @@ class YoungShape:
         return self.conjugate().rows
 
 
-@dataclass(frozen=True)
-class StandardTableau:
-    """A standard filling: rows of entries increasing along rows and columns."""
-
-    filling: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        rows = [len(r) for r in self.filling]
-        YoungShape(tuple(rows))  # validates the underlying shape
-        entries = [e for row in self.filling for e in row]
-        if sorted(entries) != list(range(1, len(entries) + 1)):
-            raise OutOfRange(f"filling is not a bijection onto 1..{len(entries)}")
-        for row in self.filling:
-            if any(row[i] >= row[i + 1] for i in range(len(row) - 1)):
-                raise OutOfRange(f"row not increasing: {row}")
-        for col in self.columns():
-            if any(col[i] >= col[i + 1] for i in range(len(col) - 1)):
-                raise OutOfRange(f"column not increasing: {col}")
-
-    @classmethod
-    def from_text(cls, text: str) -> "StandardTableau":
-        try:
-            rows = [tuple(int(x) for x in chunk.split())
-                    for chunk in text.split("/")]
-        except ValueError:
-            raise OutOfRange(f"cannot parse tableau {text!r}") from None
-        return cls(tuple(row for row in rows if row))
-
-    @property
-    def shape(self) -> YoungShape:
-        return YoungShape(tuple(len(r) for r in self.filling))
-
-    @property
-    def boxes(self) -> int:
-        return sum(len(r) for r in self.filling)
-
-    def columns(self) -> list[tuple[int, ...]]:
-        width = len(self.filling[0])
-        out = []
-        for j in range(width):
-            out.append(tuple(row[j] for row in self.filling if len(row) > j))
-        return out
-
-
 def _embedded_sum(slots: Sequence[int], total: int,
                   signed: bool) -> InvariantElement:
     slots = sorted(slots)
@@ -143,46 +98,6 @@ def symmetrizer(slots: Iterable[int], total: int) -> InvariantElement:
 def antisymmetrizer(slots: Iterable[int], total: int) -> InvariantElement:
     """Signed average of all permutations of the given strands."""
     return _embedded_sum(list(slots), total, signed=True)
-
-
-def proportionality(a: InvariantElement,
-                    b: InvariantElement) -> RadicalCoefficient:
-    """The scalar c with a = c*b, or NotProportional."""
-    if a.sig != b.sig:
-        raise NotProportional("different signatures")
-    if b.is_zero():
-        raise NotProportional("right element is zero")
-    probe_diag = next(iter(b.terms))
-    num = a.terms.get(probe_diag)
-    if num is None:
-        raise NotProportional("support mismatch")
-    c = num / b.terms[probe_diag]
-    if a != b.scaled(c):
-        raise NotProportional(f"ratio {c} does not hold on all terms")
-    return c
-
-
-def young_projector(tableau: StandardTableau | str,
-                    total: int | None = None) -> InvariantElement:
-    """Idempotent row-symmetrized, column-antisymmetrized projector.
-
-    The raw product e = (row symmetrizers)(column antisymmetrizers)
-    satisfies e∘e = c·e for an N-independent constant; the result is e/c.
-    """
-    if isinstance(tableau, str):
-        tableau = StandardTableau.from_text(tableau)
-    m = tableau.boxes if total is None else total
-    if m < tableau.boxes:
-        raise OutOfRange(f"{m} strands cannot hold {tableau.boxes} boxes")
-    e = identity(Signature("q" * m))
-    for row in tableau.filling:
-        if len(row) > 1:
-            e = compose(e, symmetrizer(row, m))
-    for col in tableau.columns():
-        if len(col) > 1:
-            e = compose(e, antisymmetrizer(col, m))
-    c = proportionality(compose(e, e), e)
-    return e.scaled(RadicalCoefficient.one() / c)
 
 
 def irrep_dimension(shape: YoungShape | str) -> RationalFunction:
@@ -228,28 +143,3 @@ def builtin_orthogonal_basis(k: int) -> list[InvariantElement]:
     t_down = compose(compose(s12, swap23), a12).scaled(root)
     t_up = compose(compose(a12, swap23), s12).scaled(root)
     return [s123, p_mixed_sym, t_down, t_up, p_mixed_asym, a123]
-
-
-def gram_schmidt(states: Sequence[InvariantElement],
-                 ) -> tuple[list[InvariantElement], list[int]]:
-    """Orthogonalize kets over Q(N) without normalizing.
-
-    Returns (orthogonal states, indices of inputs dropped as dependent).
-    A state with identically zero norm is a genuine linear combination of
-    its predecessors, so dropping exactly the zero vectors is sound.
-    """
-    ortho: list[InvariantElement] = []
-    norms: list[RadicalCoefficient] = []
-    dropped: list[int] = []
-    for i, v in enumerate(states):
-        u = v
-        for w, nw in zip(ortho, norms):
-            overlap = inner_product(w, u)
-            if not overlap.is_zero():
-                u = u - w.scaled(overlap / nw)
-        if u.is_zero():
-            dropped.append(i)
-        else:
-            ortho.append(u)
-            norms.append(inner_product(u, u))
-    return ortho, dropped

@@ -11,7 +11,6 @@ combinations that appear at k = 3, and normalized projector families.
 """
 
 import itertools
-from fractions import Fraction
 from functools import lru_cache
 
 from .coefficients import (
@@ -210,19 +209,6 @@ def adjoint_pair_diagram(k: int = 1, pair: int = 1) -> InvariantElement:
     It is idempotent and at k = 1 has trace N^2 - 1.
     """
     return identity(operator_signature(k, k)) - pair_singlet_projector(k, pair)
-
-
-def df_states():
-    """Symmetric and antisymmetric halves of the two 3-cycle states.
-
-    Returns (d_state, f_state) on Mixed(3,3): the half-sum and
-    half-difference of the (1 2 3) and (1 3 2) trace states.  They are
-    orthogonal; the d state is dimensionally null below N = 3.
-    """
-    s123 = trace_basis_state("(1 2 3)")
-    s132 = trace_basis_state("(1 3 2)")
-    half = Fraction(1, 2)
-    return (s123 + s132).scaled(half), (s123 - s132).scaled(half)
 
 
 def all_decompositions(k: int):

@@ -195,6 +195,26 @@ def test_json_refuses_non_canonical_radicands(radicand):
         RadicalCoefficient.from_json(data)
 
 
+_ONE_JSON = {"num": ["1"], "den": ["1"]}
+
+
+@pytest.mark.parametrize("load, data", [
+    (RadicalCoefficient.from_json, [{"radicand": ["x"], "multiplier": _ONE_JSON}]),
+    (RadicalCoefficient.from_json, [{"radicand": [1.5], "multiplier": _ONE_JSON}]),
+    (RadicalCoefficient.from_json, [{"radicand": [0, 1], "multiplier": _ONE_JSON},
+                                    {"radicand": [0, 1], "multiplier": _ONE_JSON}]),
+    (RadicalCoefficient.from_json, [{"radicand": [1]}]),
+    (RationalFunction.from_json, {"num": ["x"], "den": ["1"]}),
+    (RationalFunction.from_json, {"num": ["1"]}),
+], ids=["word-radicand", "float-radicand", "repeated-radicand",
+        "no-multiplier", "word-coefficient", "no-den"])
+def test_json_refuses_what_to_json_never_writes(load, data):
+    # [1.5] would truncate to the radicand 1 and a repeated radicand would
+    # drop a term; every refusal is an OutOfRange, never a bare ValueError
+    with pytest.raises(OutOfRange):
+        load(data)
+
+
 def test_json_round_trip_of_the_builtin_singlet_table():
     from birdtracks.singlets import singlet_table
 

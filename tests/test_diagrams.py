@@ -33,7 +33,6 @@ from birdtracks.diagrams import (
 from birdtracks.errors import (
     BirdtrackError,
     MixedRoleTensor,
-    OrientationViolation,
     OutOfRange,
     SignatureMismatch,
 )
@@ -348,27 +347,6 @@ def test_bend_matches_endpoint_ranking_on_random_sums():
                 coeff = sqrt(rf([0, 1])) * coeff
             el = el + permutation_element(sig, random_perm(rng, size), coeff)
         assert el.bend() == reference_bend(el)
-
-
-def test_reorder_legs_round_trip():
-    el = perm_op("qbq", "(1 3)")
-    moved = el.reorder_legs([0, 2, 1])
-    assert moved.sig.orientations == "qqb"
-    back = moved.reorder_legs([0, 2, 1])
-    assert back == el
-    with pytest.raises(OrientationViolation):
-        el.reorder_legs([0, 0, 1])
-
-
-def test_reorder_legs_preserves_inner_products():
-    rng = random.Random(113)
-    sig = ket_signature(2, 2)
-    order = [2, 0, 3, 1]
-    for _ in range(10):
-        u = InvariantElement.from_perm(sig, random_perm(rng, 2))
-        v = InvariantElement.from_perm(sig, random_perm(rng, 2))
-        assert inner_product(u, v) == inner_product(
-            u.reorder_legs(order), v.reorder_legs(order))
 
 
 def test_radical_coefficients_flow_through():

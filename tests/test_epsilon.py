@@ -5,9 +5,12 @@ import pytest
 
 from birdtracks.coefficients import rf
 from birdtracks.diagrams import (
+    InvariantElement,
+    PrimitiveDiagram,
     compose,
     identity,
     inner_product,
+    ket_signature,
     ketbra,
     operator_signature,
     tensor,
@@ -211,7 +214,13 @@ def reference_transient_projector(params, n_param):
         fund.extend(range(pos, pos + size))
         anti.extend(range(pos + size, pos + 2 * size))
         pos += 2 * size
-    ket = ket.reorder_legs(fund + anti)
+    # relabel old slot fund[i] as slot i and anti[j] as slot m + j; the
+    # ket permutation reads each antifundamental's partner off the matching
+    pos = {old: new for new, old in enumerate(fund + anti)}
+    sig = ket_signature(len(fund), len(anti))
+    ket = InvariantElement(sig, {
+        PrimitiveDiagram(sig, tuple(pos[diag.matching()[a]] for a in anti)): c
+        for diag, c in ket.terms.items()})
     norm = inner_product(ket, ket)
     return ketbra(ket, ket).scaled(rf([1]) / norm.rational_part())
 

@@ -30,8 +30,6 @@ from birdtracks.numeric import (
     generalized_gell_mann,
     integer_entries,
     sample_special_unitary,
-    state_matrix_rows,
-    unitary_action,
 )
 
 
@@ -129,8 +127,8 @@ def test_symbolic_inner_product_matches_numeric_dot():
         v = InvariantElement.from_perm(sig, random_perm(rng, 2))
         symbolic = inner_product(u, v)
         for n in (2, 3, 4):
-            rows = state_matrix_rows([u, v], n)
-            dot = sum(a * b for a, b in zip(rows[0], rows[1]))
+            eu, ev = evaluate(u, n).entries, evaluate(v, n).entries
+            dot = sum(x * ev.get(idx, 0) for idx, x in eu.items())
             assert symbolic.eval_at(n).get(1, Fraction(0)) == dot
 
 
@@ -179,11 +177,13 @@ def test_negative_seed_is_refused():
 
 def test_delta_ket_is_invariant():
     ket = identity(Signature("q")).bend()
+    assert ket.sig.orientations == "qb"
     for n in (2, 3):
         vec = evaluate_float(ket, n)
         for seed in range(3):
             u = sample_special_unitary(n, seed)
-            big = unitary_action(u, ket.sig.orientations)
+            # U on the fundamental leg, conj(U) on the antifundamental one
+            big = np.kron(u, np.conj(u))
             moved = (big @ vec.reshape(-1)).reshape(vec.shape)
             assert np.max(np.abs(moved - vec)) < 1e-12
 

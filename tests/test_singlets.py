@@ -30,12 +30,10 @@ from birdtracks.singlets import (
     singlet_basis,
     singlet_count,
     singlet_projector,
-    singlet_state,
     singlet_table,
-    transition_operator,
 )
 from birdtracks.symmetrizers import antisymmetrizer, builtin_orthogonal_basis, symmetrizer
-from birdtracks.tracebasis import df_states, pair_singlet_projector, trace_basis_state
+from birdtracks.tracebasis import pair_singlet_projector, trace_basis_state
 
 
 def rc(num, den=(1,)):
@@ -115,18 +113,10 @@ def test_product_of_orthogonal_projectors_is_zero():
     assert product == compose(p1.expand(), p2.expand())
 
 
-def test_transition_of_equal_operators_is_the_projector():
-    o = builtin_orthogonal_basis(3)[1]
-    assert transition_operator(o, o).expand() == singlet_projector(o).expand()
-
-
 def test_zero_operator():
     z = singlet_projector(zero(operator_signature(1, 1)))
     assert z.is_zero()
     assert z.expand().is_zero()
-    t = transition_operator(symmetrizer([1, 2], 2),
-                            zero(operator_signature(2, 0)))
-    assert t.is_zero() and t.expand().is_zero()
 
 
 def test_identity_projector_is_pair_singlet():
@@ -164,7 +154,9 @@ def test_dimensional_nullity():
     assert not is_dimensionally_null(a123, 3)
     s123 = symmetrizer([1, 2, 3], 3).bend()
     assert all(not is_dimensionally_null(s123, n) for n in (1, 2, 3, 4))
-    d, _ = df_states()
+    # the half-sum of the two 3-cycle states, the d state
+    d = (trace_basis_state("(1 2 3)")
+         + trace_basis_state("(1 3 2)")).scaled(Fraction(1, 2))
     assert is_dimensionally_null(d, 2)
     assert not is_dimensionally_null(d, 3)
     with pytest.raises(OutOfRange):
@@ -309,11 +301,6 @@ def test_bent_states_are_invariant_under_sampled_unitaries():
                     dense[key] = float(val)
                 moved = apply_per_leg(dense, mats)
                 assert abs(moved - dense).max() < 1e-10
-
-
-def test_singlet_state_is_bend():
-    op = symmetrizer([1, 2], 2)
-    assert singlet_state(op) == op.bend()
 
 
 def test_singlet_operator_json_round_trip():

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -10,23 +11,14 @@ from birdtracks.diagrams import (
     inner_product,
     zero,
 )
-from birdtracks.errors import (
-    BirdtrackError,
-    NotProportional,
-    OutOfRange,
-    UnsupportedK,
-)
+from birdtracks.errors import BirdtrackError, OutOfRange, UnsupportedK
 from birdtracks.numeric import evaluate
 from birdtracks.symmetrizers import (
-    StandardTableau,
     YoungShape,
     antisymmetrizer,
     builtin_orthogonal_basis,
-    gram_schmidt,
     irrep_dimension,
-    proportionality,
     symmetrizer,
-    young_projector,
 )
 
 
@@ -104,69 +96,10 @@ def test_young_shape_and_tableau_parsing():
     assert shape.conjugate().rows == (2, 1)
     assert YoungShape((3, 1)).conjugate().rows == (2, 1, 1)
     assert YoungShape((3, 1)).conjugate().conjugate().rows == (3, 1)
-    t = StandardTableau.from_text("1 2 / 3")
-    assert t.shape.rows == (2, 1)
-    assert t.columns() == [(1, 3), (2,)]
     with pytest.raises(OutOfRange):
-        StandardTableau.from_text("1 2 / 3 4 5")     # rows must not grow
-    with pytest.raises(OutOfRange):
-        StandardTableau.from_text("2 1 / 3")         # row not increasing
-    with pytest.raises(OutOfRange):
-        StandardTableau.from_text("1 2 / 2")         # not a bijection
+        YoungShape((1, 2))                           # rows must not grow
     with pytest.raises(BirdtrackError):
-        StandardTableau.from_text("1 x")             # not an integer
-    with pytest.raises(BirdtrackError):
-        young_projector("1 x")
-
-
-def test_young_projector_extremes():
-    assert young_projector("1 2 3") == symmetrizer([1, 2, 3], 3)
-    assert young_projector("1 / 2 / 3") == antisymmetrizer([1, 2, 3], 3)
-
-
-def test_young_projector_mixed_normalization():
-    # raw S12 A13 squares to 3/4 of itself, so the projector is 4/3 S12 A13
-    s12a13 = compose(symmetrizer([1, 2], 3), antisymmetrizer([1, 3], 3))
-    c = proportionality(compose(s12a13, s12a13), s12a13)
-    assert c == rc([3], [4])
-    p = young_projector("1 2 / 3")
-    assert p == s12a13.scaled(Fraction(4, 3))
-    assert compose(p, p) == p
-    assert p.trace() == rc([0, -1, 0, 1], [3])       # N(N^2-1)/3
-
-
-def test_young_projectors_resolve_identity():
-    tabs3 = ["1 2 3", "1 2 / 3", "1 3 / 2", "1 / 2 / 3"]
-    total = None
-    for t in tabs3:
-        p = young_projector(t)
-        total = p if total is None else total + p
-    assert total == identity(Signature("qqq"))
-    tabs2 = ["1 2", "1 / 2"]
-    assert (young_projector(tabs2[0]) + young_projector(tabs2[1])
-            == identity(Signature("qq")))
-
-
-def test_young_projectors_idempotent_through_four_boxes():
-    tabs4 = ["1 2 3 4", "1 2 3 / 4", "1 2 4 / 3", "1 3 4 / 2", "1 2 / 3 4",
-             "1 3 / 2 4", "1 2 / 3 / 4", "1 3 / 2 / 4", "1 4 / 2 / 3",
-             "1 / 2 / 3 / 4"]
-    total = None
-    for t in tabs4:
-        p = young_projector(t)
-        assert compose(p, p) == p
-        total = p if total is None else total + p
-    assert total == identity(Signature("qqqq"))
-
-
-def test_young_projectors_of_different_shapes_are_orthogonal():
-    shapes = {"1 2 3": "[3]", "1 2 / 3": "[2,1]", "1 3 / 2": "[2,1]",
-              "1 / 2 / 3": "[1,1,1]"}
-    ps = {t: young_projector(t) for t in shapes}
-    for t1, p1 in ps.items():
-        for t2, p2 in ps.items():
-            if shapes[t1] != shapes[t2]:
-                assert inner_product(p1, p2).is_zero()
+        YoungShape.from_text("[2,x]")                # not an integer
 
 
 def test_irrep_dimension_formula():
@@ -174,20 +107,27 @@ def test_irrep_dimension_formula():
     assert irrep_dimension("[2,1]") == rf([0, -1, 0, 1], [3])
     assert irrep_dimension("[1,1,1]") == rf([0, 2, -3, 1], [6])
     assert irrep_dimension("[2,2]") == rf([0, 0, -1, 0, 1], [12])
-    # projector trace equals the hook-content dimension
-    p22 = young_projector("1 2 / 3 4")
-    assert p22.trace() == rc([0, 0, -1, 0, 1], [12])
-    assert evaluate(p22, 3).trace() == 6
+    # Schur-Weyl: V^k holds f_lambda copies of each irrep of k boxes, with
+    # f_lambda = k!/(hook product) by the hook-length formula
+    for k in range(1, 8):
+        total = rf([0])
+        for rows in _partitions(k):
+            cols = [sum(1 for r in rows if r > j) for j in range(rows[0])]
+            hooks = math.prod(r - j + cols[j] - i - 1
+                              for i, r in enumerate(rows) for j in range(r))
+            f = math.factorial(k) // hooks
+            total = total + irrep_dimension(YoungShape(rows)) * f
+        assert total == rf([0] * k + [1])
 
 
-def test_proportionality_detects_mismatch():
-    s = symmetrizer([1, 2], 2)
-    a = antisymmetrizer([1, 2], 2)
-    with pytest.raises(NotProportional):
-        proportionality(s, a)
-    with pytest.raises(NotProportional):
-        proportionality(s, zero(Signature("qq")))
-    assert proportionality(s.scaled(7), s) == rc([7])
+def _partitions(k, largest=None):
+    """Every partition of k with parts at most largest, as row tuples."""
+    if k == 0:
+        yield ()
+        return
+    for first in range(min(k, largest or k), 0, -1):
+        for rest in _partitions(k - first, first):
+            yield (first,) + rest
 
 
 def test_builtin_basis_small_k():
@@ -232,37 +172,3 @@ def test_builtin_basis_bent_norms():
     for el, want in zip(basis, expected):
         ket = el.bend()
         assert inner_product(ket, ket) == want
-
-
-def test_gram_schmidt_two_bent_states():
-    from birdtracks.diagrams import permutation_element, parse_cycles
-    swap = permutation_element(Signature("qq"), parse_cycles("(1 2)", 2))
-    kets = [identity(Signature("qq")).bend(), swap.bend()]
-    ortho, dropped = gram_schmidt(kets)
-    assert dropped == []
-    assert ortho[0] == kets[0]
-    assert ortho[1] == kets[1] - kets[0].scaled(rf([1], [0, 1]))
-    assert inner_product(ortho[0], ortho[1]).is_zero()
-
-
-def test_gram_schmidt_drops_dependent_states():
-    from birdtracks.diagrams import permutation_element, parse_cycles
-    swap = permutation_element(Signature("qq"), parse_cycles("(1 2)", 2))
-    v = swap.bend()
-    ortho, dropped = gram_schmidt([v, v.scaled(3), v])
-    assert len(ortho) == 1
-    assert dropped == [1, 2]
-
-
-def test_gram_schmidt_on_all_bent_permutations():
-    import itertools
-    from birdtracks.diagrams import permutation_element
-    sig = Signature("qqq")
-    kets = [permutation_element(sig, perm).bend()
-            for perm in itertools.permutations(range(3))]
-    ortho, dropped = gram_schmidt(kets)
-    assert dropped == []
-    assert len(ortho) == 6
-    for i in range(6):
-        for j in range(i + 1, 6):
-            assert inner_product(ortho[i], ortho[j]).is_zero()

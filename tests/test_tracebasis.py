@@ -17,14 +17,12 @@ from birdtracks.diagrams import (
 from birdtracks.errors import InvalidDecomposition, OutOfRange
 from birdtracks.numeric import evaluate, exact_rank, generalized_gell_mann
 from birdtracks.singlets import _ket_projector, gram_matrix, singlet_count
-from birdtracks.symmetrizers import gram_schmidt
 from birdtracks.tracebasis import (
     CycleDecomposition,
     adjoint_pair_diagram,
     all_decompositions,
     derangement_block,
     derangement_states,
-    df_states,
     normalized_trace_basis,
     pair_singlet_projector,
     raw_trace_states,
@@ -186,7 +184,11 @@ def test_four_cycle_norm():
 
 
 def test_df_states_split():
-    d, f = df_states()
+    # the half-sum and half-difference of the two 3-cycle states
+    s123 = trace_basis_state("(1 2 3)")
+    s132 = trace_basis_state("(1 3 2)")
+    d = (s123 + s132).scaled(Fraction(1, 2))
+    f = (s123 - s132).scaled(Fraction(1, 2))
     assert inner_product(d, f).is_zero()
     assert inner_product(f, f) == rc([0, -1, 0, 1], [2])
     assert inner_product(d, d) == rc([4, 0, -5, 0, 1], [0, 2])
@@ -318,9 +320,16 @@ def reference_normalized_trace_basis(k):
         s123, s132 = states[4], states[5]
         states[4] = s123 - s132
         states[5] = s123 + s132
-    states, dropped = gram_schmidt(states)
-    assert not dropped
-    return [_ket_projector(ket, labels=(i,)) for i, ket in enumerate(states)]
+    ortho, norms = [], []
+    for v in states:
+        for w, nw in zip(ortho, norms):
+            overlap = inner_product(w, v)
+            if not overlap.is_zero():
+                v = v - w.scaled(overlap / nw)
+        assert not v.is_zero()
+        ortho.append(v)
+        norms.append(inner_product(v, v))
+    return [_ket_projector(ket, labels=(i,)) for i, ket in enumerate(ortho)]
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
