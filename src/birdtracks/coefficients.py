@@ -233,20 +233,6 @@ class RationalFunction:
             return _RF_ZERO
         return cls((f.numerator,), (f.denominator,), _reduced=True)
 
-    @classmethod
-    def variable(cls) -> "RationalFunction":
-        """The rational function N itself."""
-        return _RF_N
-
-    @classmethod
-    def from_coeff_lists(cls, num: Iterable[int | Fraction],
-                         den: Iterable[int | Fraction] = (1,)) -> "RationalFunction":
-        num = [Fraction(c) for c in num]
-        den = [Fraction(c) for c in den]
-        scale = math.lcm(*(c.denominator for c in num + den))
-        return cls(_trim([int(c * scale) for c in num]),
-                   _trim([int(c * scale) for c in den]))
-
     # -- predicates ---------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -347,7 +333,7 @@ class RationalFunction:
             num, den = [Fraction(c) for c in num], [Fraction(c) for c in den]
         except (ValueError, ZeroDivisionError):
             raise OutOfRange(f"unreadable rational in {data!r}") from None
-        return cls.from_coeff_lists(num, den)
+        return rf(num, den)
 
 
 def _json_list(data, field: str, kind: type) -> list:
@@ -673,11 +659,17 @@ def sqrt(value: RationalFunction | int | Fraction) -> RadicalCoefficient:
 
 
 # Convenience handles used throughout the package.
-N = RationalFunction.variable()
+N = _RF_N
 ZERO = RadicalCoefficient.zero()
 ONE = RadicalCoefficient.one()
 
 
-def rf(num, den=(1,)) -> RationalFunction:
-    """Shorthand: build a RationalFunction from integer coefficient lists."""
-    return RationalFunction.from_coeff_lists(num, den)
+def rf(num: Iterable[int | Fraction],
+       den: Iterable[int | Fraction] = (1,)) -> RationalFunction:
+    """A RationalFunction from int or Fraction coefficient lists, lowest
+    degree first."""
+    num = [Fraction(c) for c in num]
+    den = [Fraction(c) for c in den]
+    scale = math.lcm(*(c.denominator for c in num + den))
+    return RationalFunction(_trim([int(c * scale) for c in num]),
+                            _trim([int(c * scale) for c in den]))

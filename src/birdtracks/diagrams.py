@@ -33,15 +33,18 @@ from .coefficients import (
     _RF_ONE,
     _UNIT_KEY,
     _as_radical,
+    _json_list,
     _p_exquo,
     _p_lcm,
     _p_mul,
     _trim,
+    rf,
 )
 from .errors import (
     MixedRoleTensor,
     OutOfRange,
     SignatureMismatch,
+    integer,
 )
 
 FUND = "q"
@@ -61,7 +64,8 @@ class Signature:
     def __post_init__(self):
         if self.role not in (OPERATOR, KET):
             raise OutOfRange(f"unknown role {self.role!r}")
-        if set(self.orientations) - {FUND, ANTI}:
+        if (not isinstance(self.orientations, str)
+                or set(self.orientations) - {FUND, ANTI}):
             raise OutOfRange(f"bad orientation string {self.orientations!r}")
 
     @property
@@ -84,16 +88,18 @@ class Signature:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "Signature":
-        return cls(data["orientations"], data["role"])
+        if not isinstance(data, dict):
+            raise OutOfRange(f"signature is not an object: {data!r}")
+        return cls(data.get("orientations"), data.get("role"))
 
 
 def operator_signature(m: int, n: int) -> Signature:
     """The canonical operator signature on Mixed(m, n): m 'q' then n 'b'."""
-    return Signature(FUND * m + ANTI * n, OPERATOR)
+    return Signature(FUND * integer(m, "m", 0) + ANTI * integer(n, "n", 0))
 
 
 def ket_signature(m: int, n: int) -> Signature:
-    return Signature(FUND * m + ANTI * n, KET)
+    return Signature(operator_signature(m, n).orientations, KET)
 
 
 @dataclass(frozen=True)
@@ -209,7 +215,7 @@ def _perm_inverse(perm: tuple[int, ...]) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def _n_power(k: int) -> RationalFunction:
-    return RationalFunction.from_coeff_lists([0] * k + [1])
+    return rf([0] * k + [1])
 
 
 class InvariantElement:
@@ -326,10 +332,8 @@ class InvariantElement:
         """Glue left to right endpoints on the given levels (0-based)."""
         if not self.sig.is_operator():
             raise SignatureMismatch("partial trace is defined on operators")
-        glued = sorted(set(levels))
         k = self.sig.n_slots
-        if glued and (glued[0] < 0 or glued[-1] >= k):
-            raise OutOfRange(f"levels {glued} outside 0..{k - 1}")
+        glued = sorted({integer(a, "level", 0, k - 1) for a in levels})
         keep = [a for a in range(k) if a not in set(glued)]
         new_sig = Signature("".join(self.sig.orientations[a] for a in keep),
                             OPERATOR)
@@ -391,11 +395,15 @@ class InvariantElement:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "InvariantElement":
-        sig = Signature.from_json(data["signature"])
+        rows = _json_list(data, "terms", dict)
+        sig = Signature.from_json(data.get("signature"))
         terms = {}
-        for row in data["terms"]:
-            diag = PrimitiveDiagram(sig, tuple(p - 1 for p in row["perm"]))
-            terms[diag] = RadicalCoefficient.from_json(row["coeff"])
+        for row in rows:
+            perm = _json_list(row, "perm", int)
+            diag = PrimitiveDiagram(sig, tuple(p - 1 for p in perm))
+            if diag in terms:
+                raise OutOfRange(f"perm {perm} appears twice")
+            terms[diag] = RadicalCoefficient.from_json(row.get("coeff"))
         return cls(sig, terms)
 
 
@@ -674,21 +682,24 @@ def parse_cycles(text: str, size: int) -> tuple[int, ...]:
     "e", "id" and "()" all denote the identity.  Commas are accepted as
     separators inside a cycle.
     """
-    cycles = _cycle_entries(text, OutOfRange)
-    seen = set()
-    for entries in cycles:
-        if any(e < 1 or e > size for e in entries):
-            raise OutOfRange(f"cycle entry outside 1..{size} in {text!r}")
-        if len(set(entries)) != len(entries) or seen & set(entries):
-            raise OutOfRange(f"repeated entry in {text!r}")
-        seen |= set(entries)
-    return _one_line(cycles, size)
+    return _one_line(_cycle_entries(text, OutOfRange),
+                     integer(size, "size", 0))
 
 
-def _one_line(cycles: Iterable[Sequence[int]], size: int) -> tuple[int, ...]:
-    """The 0-based permutation of disjoint 1-based cycles on 1..size."""
+def _one_line(cycles: Iterable[Sequence[int]], size: int,
+              error: type[Exception] = OutOfRange) -> tuple[int, ...]:
+    """The 0-based permutation of disjoint 1-based cycles on 1..size.
+
+    Raises error unless every cycle is non-empty, every entry is an
+    integer in 1..size and no entry appears twice.
+    """
     perm = list(range(size))
+    seen = set()
     for c in cycles:
+        c = [integer(e, "cycle entry", 1, size, error) for e in c]
+        if not c or seen.intersection(c) or len(set(c)) != len(c):
+            raise error(f"cycle {c} is empty or repeats an entry")
+        seen.update(c)
         for i, e in enumerate(c):
             perm[e - 1] = c[(i + 1) % len(c)] - 1
     return tuple(perm)

@@ -23,7 +23,13 @@ from .diagrams import (
     operator_signature,
     tensor,
 )
-from .errors import BadBlockSize, DimensionMismatch, NotProportional, OutOfRange
+from .errors import (
+    BadBlockSize,
+    DimensionMismatch,
+    NotProportional,
+    OutOfRange,
+    integer,
+)
 from .numeric import (
     DENSE_CAP,
     ExactTensor,
@@ -34,6 +40,7 @@ from .numeric import (
 from .singlets import singlet_projector
 from .symmetrizers import (
     YoungShape,
+    _shape_rows,
     antisymmetrizer,
     irrep_dimension,
     symmetrizer,
@@ -55,30 +62,24 @@ class TransientParams:
     k: int
     alpha: int
 
+    def __post_init__(self):
+        for name in _PARAMS:
+            object.__setattr__(self, name,
+                               integer(getattr(self, name), name, 0))
+        if self.a + self.b < 1:
+            raise OutOfRange(f"not a transient layout: {self}")
+
     def to_json(self) -> dict:
-        return {"a": self.a, "b": self.b, "k": self.k, "alpha": self.alpha}
+        return {name: getattr(self, name) for name in _PARAMS}
 
     @classmethod
     def from_json(cls, data: dict) -> "TransientParams":
-        return cls(int(data["a"]), int(data["b"]), int(data["k"]),
-                   int(data["alpha"]))
+        if not isinstance(data, dict):
+            raise OutOfRange(f"transient parameters not an object: {data!r}")
+        return cls(*(data.get(name) for name in _PARAMS))
 
 
-def _rows_of(shape) -> tuple[int, ...]:
-    """Normalize the many spellings of a shape (or of no shape) to a tuple."""
-    if shape is None:
-        return ()
-    if isinstance(shape, YoungShape):
-        return shape.rows
-    if isinstance(shape, str):
-        body = shape.strip()
-        if body in ("", "[]"):
-            return ()
-        return YoungShape.from_text(body).rows
-    rows = tuple(shape)
-    if not rows:
-        return ()
-    return YoungShape(rows).rows
+_PARAMS = ("a", "b", "k", "alpha")
 
 
 def pieri_add_antifundamental(shape, n_param: int) -> list[YoungShape]:
@@ -89,9 +90,7 @@ def pieri_add_antifundamental(shape, n_param: int) -> list[YoungShape]:
     to stay a shape on at most N rows.  Equivalently: every row but one
     grows by a box.  Sorted longest-row-first.
     """
-    rows = _rows_of(shape)
-    if n_param < 2:
-        raise OutOfRange(f"need n_param >= 2, got {n_param}")
+    rows, n_param = _shape_rows(shape), integer(n_param, "N", 2)
     if len(rows) > n_param:
         raise OutOfRange(f"shape {list(rows)} has more than {n_param} rows")
     padded = list(rows) + [0] * (n_param - len(rows))
@@ -122,10 +121,8 @@ def lr_decomposition(m: int, n: int, n_param: int) -> list[YoungShape]:
     gives n_param^(m + n).  The m = n = 0 product is only the trivial
     representation, which has no boxes, so the list comes back empty.
     """
-    if n_param < 2:
-        raise OutOfRange(f"need n_param >= 2, got {n_param}")
-    if m < 0 or n < 0:
-        raise OutOfRange(f"need m, n >= 0, got ({m}, {n})")
+    n_param = integer(n_param, "N", 2)
+    m, n = integer(m, "m", 0), integer(n, "n", 0)
     current: list[tuple[int, ...]] = [()]
     for _ in range(m):
         current = [grown for rows in current
@@ -143,17 +140,13 @@ def shape_dimension(shape, n_param: int) -> int:
     Full height-N columns are pure determinant factors and get stripped
     first; a shape that is nothing but full columns has dimension 1.
     """
-    rows = _rows_of(shape)
-    if n_param < 2:
-        raise OutOfRange(f"need n_param >= 2, got {n_param}")
+    rows, n_param = _shape_rows(shape), integer(n_param, "N", 2)
     if len(rows) > n_param:
         raise OutOfRange(f"shape {list(rows)} does not fit in {n_param} rows")
     if len(rows) == n_param:
         full = rows[-1]
         rows = tuple(r - full for r in rows if r > full)
-    if not rows:
-        return 1
-    return int(irrep_dimension(YoungShape(rows)).eval_at(n_param))
+    return int(irrep_dimension(rows).eval_at(n_param))
 
 
 def transient_singlet_params(m: int, n: int,
@@ -165,10 +158,8 @@ def transient_singlet_params(m: int, n: int,
     listed.  Each solution is one family of transient singlets living on
     Mixed(alpha, alpha), alpha = (a + b)(N - 1) + k.
     """
-    if n_param < 2:
-        raise OutOfRange(f"need n_param >= 2, got {n_param}")
-    if m < 0 or n < 0:
-        raise OutOfRange(f"need m, n >= 0, got ({m}, {n})")
+    n_param = integer(n_param, "N", 2)
+    m, n = integer(m, "m", 0), integer(n, "n", 0)
     out = []
     for a in range(m // n_param + 1):
         k = m - a * n_param
@@ -189,8 +180,7 @@ def epsilon_tensor(n_param: int) -> ExactTensor:
     Deliberately phase-unnormalized: identities that pair two of these
     apply 1/N! per pair on the outside instead.
     """
-    if n_param < 2:
-        raise OutOfRange(f"need n_param >= 2, got {n_param}")
+    n_param = integer(n_param, "N", 2)
     if n_param ** n_param > DENSE_CAP:
         raise OutOfRange(f"rank-{n_param} symbol exceeds the dense cap")
     entries = {perm: Fraction(_perm_sign(perm))
@@ -214,8 +204,7 @@ def leibniz_translate(tensor_in: ExactTensor, j: int):
     n_param = tensor_in.shape[0]
     if any(d != n_param for d in tensor_in.shape):
         raise DimensionMismatch(f"mixed axis dimensions {tensor_in.shape}")
-    if not 1 <= j <= n_param - 1:
-        raise BadBlockSize(f"need 1 <= j <= {n_param - 1}, got {j}")
+    j = integer(j, "j", 1, n_param - 1, BadBlockSize)
     block = n_param - j
     if block > len(tensor_in.shape):
         raise BadBlockSize(
@@ -264,8 +253,7 @@ def lr_pair_projector(kind: str, n_param: int) -> ExactTensor:
     run (fund out, anti out, fund in, anti in); the results agree with
     the Fierz forms (1/N) trace-pair and identity - (1/N) trace-pair.
     """
-    if n_param < 2:
-        raise OutOfRange(f"need n_param >= 2, got {n_param}")
+    n_param = integer(n_param, "N", 2)
     if kind == "singlet":
         seed = antisymmetrizer(range(1, n_param + 1), n_param)
         column = tuple(range(2, n_param + 1))
@@ -320,10 +308,7 @@ def transient_singlet_projector(params: TransientParams, n_param: int):
     expanded projector |s><s| / <s|s>.  Symbolic in N; evaluate it at
     n_param to get the numeric projector whose trace is exactly 1.
     """
-    if n_param < 2:
-        raise OutOfRange(f"need n_param >= 2, got {n_param}")
-    if min(params.a, params.b, params.k) < 0 or params.a + params.b < 1:
-        raise OutOfRange(f"not a transient layout: {params}")
+    n_param = integer(n_param, "N", 2)
     if (params.a + params.b) * (n_param - 1) + params.k != params.alpha:
         raise OutOfRange(f"alpha of {params} is inconsistent at N={n_param}")
     blocks = [antisymmetrizer(range(1, n_param), n_param - 1)
@@ -344,8 +329,7 @@ def baryon_equivalence_report(n_param: int = 3) -> dict[str, bool]:
     report is all-false (at N = 4 the would-be partner is the
     4-dimensional three-box column, not a singlet).
     """
-    if n_param < 2:
-        raise OutOfRange(f"need n_param >= 2, got {n_param}")
+    n_param = integer(n_param, "N", 2)
     legs = {
         "transient_exists": False,
         "pairing_matches_antisymmetrizer": False,

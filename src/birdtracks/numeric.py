@@ -17,11 +17,11 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from operator import index, itemgetter
+from operator import itemgetter
 from typing import TYPE_CHECKING, Sequence
 
 from .diagrams import InvariantElement
-from .errors import DimensionMismatch, OutOfRange
+from .errors import DimensionMismatch, OutOfRange, integer
 
 if TYPE_CHECKING:
     import numpy as np
@@ -98,17 +98,6 @@ def _element_axes(element: InvariantElement) -> int:
     return 2 * k if element.sig.is_operator() else k
 
 
-def _positive_n(n) -> int:
-    """n as an int; OutOfRange unless it is an integer of at least 1."""
-    try:
-        n = index(n)
-    except TypeError:
-        n = 0
-    if n < 1:
-        raise OutOfRange("N must be a positive integer")
-    return n
-
-
 def _check_cap(n: int, axes: int):
     if n ** axes > DENSE_CAP:
         raise OutOfRange(
@@ -138,7 +127,7 @@ def integer_entries(element: InvariantElement,
     and only the nonzero nums kept.  Coefficients must evaluate
     rationally.
     """
-    n = _positive_n(n)
+    n = integer(n, "N", 1)
     axes = _element_axes(element)
     _check_cap(n, axes)
     values = [(diag, coeff.eval_rational(n))
@@ -170,7 +159,7 @@ def evaluate_float(element: InvariantElement, n: int) -> np.ndarray:
     """Dense complex tensor of an element at N = n; radicals allowed."""
     import numpy as np
 
-    n = _positive_n(n)
+    n = integer(n, "N", 1)
     axes = _element_axes(element)
     _check_cap(n, axes)
     out = np.zeros((n,) * axes, dtype=complex)
@@ -242,10 +231,7 @@ def sample_special_unitary(n: int, seed: int) -> np.ndarray:
     QR of a complex Gaussian sample, phases fixed so R has positive
     diagonal, then a global phase division to reach det = 1.
     """
-    if n < 2:
-        raise OutOfRange(f"need n >= 2, got {n}")
-    if seed < 0:
-        raise OutOfRange(f"need seed >= 0, got {seed}")
+    n, seed = integer(n, "N", 2), integer(seed, "seed", 0)
     import numpy as np
 
     rng = np.random.default_rng(seed)
@@ -306,6 +292,7 @@ def correlator_matrix(states: Sequence[InvariantElement],
 
 def generalized_gell_mann(n: int) -> list[np.ndarray]:
     """Traceless Hermitian generators of su(n) with Tr(t^a t^b) = delta^ab."""
+    n = integer(n, "N", 1)
     import numpy as np
 
     gens = []

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
-from .coefficients import RadicalCoefficient, _p_eval, sqrt
+from .coefficients import RadicalCoefficient, _json_list, _p_eval, sqrt
 from .diagrams import (
     OPERATOR,
     InvariantElement,
@@ -26,8 +26,8 @@ from .diagrams import (
     ketbra,
     zero,
 )
-from .errors import OutOfRange, PoleAtN
-from .numeric import _positive_n, exact_rank
+from .errors import OutOfRange, PoleAtN, integer
+from .numeric import exact_rank
 from .symmetrizers import builtin_orthogonal_basis
 from .tracebasis import (
     derangement_block,
@@ -76,11 +76,14 @@ class SingletOperator:
 
     @classmethod
     def from_json(cls, data) -> "SingletOperator":
-        return cls(ket=InvariantElement.from_json(data["ket"]),
-                   bra=InvariantElement.from_json(data["bra"]),
+        labels = tuple(_json_list(data, "labels", int))
+        if data.get("kind") not in (PROJECTOR, TRANSITION):
+            raise OutOfRange(f"unknown operator kind {data.get('kind')!r}")
+        return cls(ket=InvariantElement.from_json(data.get("ket")),
+                   bra=InvariantElement.from_json(data.get("bra")),
                    normalization=RadicalCoefficient.from_json(
-                       data["normalization"]),
-                   kind=data["kind"], labels=tuple(data["labels"]))
+                       data.get("normalization")),
+                   kind=data["kind"], labels=labels)
 
 
 def _ket_projector(ket: InvariantElement, labels: tuple = (),
@@ -109,13 +112,9 @@ def _transition(to: SingletOperator, source: SingletOperator,
                 labels: tuple) -> SingletOperator:
     """The transition from source's ket to to's ket.
 
-    Its weight is the geometric mean of the two projector normalizations,
-    zero if either is zero.
+    Its weight is the geometric mean of the two projector normalizations.
     """
-    if to.is_zero() or source.is_zero():
-        weight = RadicalCoefficient.zero()
-    else:
-        weight = sqrt((to.normalization * source.normalization).rational_part())
+    weight = sqrt((to.normalization * source.normalization).rational_part())
     return SingletOperator(ket=to.ket, bra=source.ket, normalization=weight,
                            kind=TRANSITION, labels=labels)
 
@@ -216,7 +215,7 @@ def is_dimensionally_null(state: InvariantElement, n: int) -> bool:
     state is the zero tensor exactly when its norm evaluates to zero.
     A state with a coefficient that has a pole at n raises PoleAtN.
     """
-    n = _positive_n(n)
+    n = integer(n, "N", 1)
     _require_finite([state], n, lambda i: "the state")
     parts = inner_product(state, state).eval_at(n)
     return all(value == 0 for value in parts.values())
@@ -259,13 +258,11 @@ def singlet_count(k: int, n: int, source: str = "trace") -> int:
     built.  On either route a source state with a coefficient that has
     a pole at n does not specialize, and raises PoleAtN.
     """
-    n = _positive_n(n)
+    k, n = integer(k, "k", 1), integer(n, "N", 1)
     if source != "trace":
         kets, norms = _orthogonal_norms(k, source)
         _require_finite(kets, n, lambda i: f"{source} state {i}")
         return sum(1 for norm in norms if norm.eval_at(n))
-    if k < 1:
-        raise OutOfRange("k must be at least 1")
     count = 1
     for s in range(2, k + 1):
         _require_finite(derangement_block(s)[0], n,

@@ -28,7 +28,7 @@ from .diagrams import (
     parse_cycles,
     permutation_element,
 )
-from .errors import OutOfRange, UnsupportedK
+from .errors import OutOfRange, UnsupportedK, integer
 
 
 @dataclass(frozen=True)
@@ -38,10 +38,10 @@ class YoungShape:
     rows: tuple[int, ...]
 
     def __post_init__(self):
-        if not self.rows or any(r < 1 for r in self.rows):
-            raise OutOfRange(f"bad shape {self.rows}")
-        if any(self.rows[i] < self.rows[i + 1] for i in range(len(self.rows) - 1)):
-            raise OutOfRange(f"rows not weakly decreasing: {self.rows}")
+        rows = tuple(integer(r, "row length", 1) for r in self.rows)
+        if not rows or any(a < b for a, b in zip(rows, rows[1:])):
+            raise OutOfRange(f"shape {self.rows} is empty or a row grows")
+        object.__setattr__(self, "rows", rows)
 
     @classmethod
     def from_text(cls, text: str) -> "YoungShape":
@@ -57,10 +57,6 @@ class YoungShape:
     def to_text(self) -> str:
         return "[" + ",".join(str(r) for r in self.rows) + "]"
 
-    @property
-    def boxes(self) -> int:
-        return sum(self.rows)
-
     def conjugate(self) -> "YoungShape":
         cols = tuple(sum(1 for r in self.rows if r > j)
                      for j in range(self.rows[0]))
@@ -70,13 +66,26 @@ class YoungShape:
         return self.conjugate().rows
 
 
+def _shape_rows(shape) -> tuple[int, ...]:
+    """The row lengths of a shape given as a YoungShape, as text like
+    "[2,1]", as a sequence of lengths or as None; the empty shape is ()."""
+    if shape is None:
+        return ()
+    if isinstance(shape, YoungShape):
+        return shape.rows
+    if isinstance(shape, str):
+        text = shape.strip()
+        return () if text in ("", "[]") else YoungShape.from_text(text).rows
+    rows = tuple(shape)
+    return YoungShape(rows).rows if rows else ()
+
+
 def _embedded_sum(slots: Sequence[int], total: int,
                   signed: bool) -> InvariantElement:
-    slots = sorted(slots)
-    if not slots:
-        raise OutOfRange("empty slot set")
-    if slots[0] < 1 or slots[-1] > total or len(set(slots)) != len(slots):
-        raise OutOfRange(f"slots {slots} not within 1..{total}")
+    total = integer(total, "total", 1)
+    slots = sorted(integer(s, "slot", 1, total) for s in slots)
+    if not slots or len(set(slots)) != len(slots):
+        raise OutOfRange(f"slots {slots} are empty or repeated")
     sig = Signature("q" * total)
     weight = RadicalCoefficient.from_rational(
         Fraction(1, math.factorial(len(slots))))
@@ -100,14 +109,16 @@ def antisymmetrizer(slots: Iterable[int], total: int) -> InvariantElement:
     return _embedded_sum(list(slots), total, signed=True)
 
 
-def irrep_dimension(shape: YoungShape | str) -> RationalFunction:
-    """Product over boxes of (N + column - row) over the hook lengths."""
-    if isinstance(shape, str):
-        shape = YoungShape.from_text(shape)
-    cols = shape.column_lengths()
+def irrep_dimension(shape) -> RationalFunction:
+    """Product over boxes of (N + column - row) over the hook lengths.
+
+    shape is read by _shape_rows; the empty shape has dimension 1.
+    """
+    rows = _shape_rows(shape)
+    cols = YoungShape(rows).column_lengths() if rows else ()
     num = rf([1])
     hooks = 1
-    for i, row_len in enumerate(shape.rows):
+    for i, row_len in enumerate(rows):
         for j in range(row_len):
             num = num * rf([j - i, 1])
             hooks *= (row_len - j) + (cols[j] - i) - 1
@@ -122,9 +133,7 @@ def builtin_orthogonal_basis(k: int) -> list[InvariantElement]:
     antisymmetric projector.  Pairwise orthogonal under the operator inner
     product; all six bend to the known normalization pattern.
     """
-    if k < 1 or k > 3:
-        raise UnsupportedK(
-            f"no embedded basis for k={k}; orthogonalize the trace basis")
+    k = integer(k, "k of the built-in basis", 1, 3, UnsupportedK)
     if k == 1:
         return [identity(Signature("q"))]
     if k == 2:

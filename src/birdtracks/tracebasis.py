@@ -17,6 +17,7 @@ from .coefficients import (
     RadicalCoefficient,
     RationalFunction,
     _ONE,
+    _RF_N,
     _RF_ONE,
     _RF_ZERO,
     _p_add,
@@ -37,7 +38,7 @@ from .diagrams import (
     operator_signature,
     permutation_element,
 )
-from .errors import InvalidDecomposition, OutOfRange
+from .errors import InvalidDecomposition, integer
 
 
 class CycleDecomposition:
@@ -51,24 +52,13 @@ class CycleDecomposition:
     __slots__ = ("k", "cycles")
 
     def __init__(self, cycles, k=None):
-        flat = []
-        raw = [tuple(int(x) for x in c) for c in cycles]
-        for c in raw:
-            if not c:
-                raise InvalidDecomposition("empty cycle")
-            flat.extend(c)
-        if flat and min(flat) < 1:
-            raise InvalidDecomposition("cycle entries must be positive")
-        if len(set(flat)) != len(flat):
-            raise InvalidDecomposition("cycles are not disjoint")
-        size = max(flat) if flat else 0
+        cycles = [tuple(c) for c in cycles]
         if k is None:
-            k = size
-        elif k < size:
-            raise InvalidDecomposition(f"entry {size} exceeds k={k}")
-        if k < 1:
-            raise InvalidDecomposition("k must be at least 1")
-        canon = _cycles(_one_line(raw, k))
+            # the largest entry; _one_line checks every entry against it
+            k = max((integer(e, "cycle entry", 1, error=InvalidDecomposition)
+                     for c in cycles for e in c), default=0)
+        k = integer(k, "k", 1, error=InvalidDecomposition)
+        canon = _cycles(_one_line(cycles, k, InvalidDecomposition))
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "cycles",
                            tuple(tuple(x + 1 for x in c) for c in canon))
@@ -193,8 +183,8 @@ def pair_singlet_projector(k: int = 1, pair: int = 1) -> InvariantElement:
     Acts as (1/N) |delta><delta| on the chosen pair and as the identity
     on every other pair.
     """
-    if not 1 <= pair <= k:
-        raise OutOfRange(f"pair {pair} outside 1..{k}")
+    k = integer(k, "k", 1)
+    pair = integer(pair, "pair", 1, k)
     sig = operator_signature(k, k)
     perm = list(range(2 * k))
     perm[pair - 1], perm[k + pair - 1] = perm[k + pair - 1], perm[pair - 1]
@@ -217,8 +207,7 @@ def all_decompositions(k: int):
     The identity comes first, then fewer moved points before more, then
     coarser cycle type, then one-line lexicographic order.
     """
-    if k < 1:
-        raise OutOfRange("k must be at least 1")
+    k = integer(k, "k", 1)
     items = [CycleDecomposition.from_permutation(p)
              for p in itertools.permutations(range(k))]
 
@@ -238,8 +227,7 @@ def derangement_states(k: int):
     entirely inside a generator trace, so projecting any single pair onto
     its singlet annihilates the state.
     """
-    if k < 2:
-        raise OutOfRange("derangements need k of at least 2")
+    k = integer(k, "k", 2)
     return [trace_basis_state(rho) for rho in all_decompositions(k)
             if rho.is_derangement()]
 
@@ -306,7 +294,7 @@ def normalized_trace_basis(k: int):
                 (a, b), (_, c) = gram
                 gram = ((a - 2 * b + c, a - c), (a - c, a + 2 * b + c))
             lower, block_pivots = _ldl(gram)
-            scale = RationalFunction.variable() ** (k - s)
+            scale = _RF_N ** (k - s)
             factors[s] = (_unit_lower_inverse(lower),
                           [scale * pivot for pivot in block_pivots])
         inverse, block_pivots = factors[s]

@@ -1,0 +1,286 @@
+"""Input contracts: every integer argument, cycle and JSON payload that the
+library refuses is refused with a BirdtrackError, before any work."""
+
+import re
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from birdtracks.diagrams import (
+    InvariantElement,
+    Signature,
+    identity,
+    ket_signature,
+    operator_signature,
+    parse_cycles,
+)
+from birdtracks.epsilon import (
+    TransientParams,
+    baryon_equivalence_report,
+    epsilon_tensor,
+    leibniz_translate,
+    lr_decomposition,
+    lr_pair_projector,
+    pieri_add_antifundamental,
+    shape_dimension,
+    transient_singlet_params,
+    transient_singlet_projector,
+    verify_baryon_equivalence,
+)
+from birdtracks.errors import (
+    BadBlockSize,
+    InvalidDecomposition,
+    OutOfRange,
+    UnsupportedK,
+    integer,
+)
+from birdtracks.numeric import (
+    evaluate,
+    evaluate_float,
+    generalized_gell_mann,
+    integer_entries,
+    sample_special_unitary,
+)
+from birdtracks.singlets import (
+    SingletOperator,
+    basis_states,
+    is_dimensionally_null,
+    singlet_basis,
+    singlet_count,
+    singlet_table,
+)
+from birdtracks.symmetrizers import (
+    YoungShape,
+    antisymmetrizer,
+    builtin_orthogonal_basis,
+    irrep_dimension,
+    symmetrizer,
+)
+from birdtracks.tracebasis import (
+    CycleDecomposition,
+    adjoint_pair_diagram,
+    all_decompositions,
+    derangement_block,
+    derangement_states,
+    normalized_trace_basis,
+    pair_singlet_projector,
+    raw_trace_states,
+)
+
+_KET = identity(Signature("q")).bend()
+_OP = identity(Signature("qq"))
+_BLOCKS = TransientParams(1, 0, 0, 2)
+
+# (id, call of the one argument under test, its least value, the error,
+# the argument's name in the message)
+INTEGER_ARGUMENTS = [
+    ("evaluate-N", lambda v: evaluate(_KET, v), 1, OutOfRange, "N"),
+    ("evaluate_float-N", lambda v: evaluate_float(_KET, v), 1, OutOfRange,
+     "N"),
+    ("integer_entries-N", lambda v: integer_entries(_KET, v), 1, OutOfRange,
+     "N"),
+    ("sample_special_unitary-N", lambda v: sample_special_unitary(v, 0), 2,
+     OutOfRange, "N"),
+    ("sample_special_unitary-seed", lambda v: sample_special_unitary(2, v), 0,
+     OutOfRange, "seed"),
+    ("generalized_gell_mann-N", generalized_gell_mann, 1, OutOfRange, "N"),
+    ("operator_signature-m", lambda v: operator_signature(v, 1), 0,
+     OutOfRange, "m"),
+    ("operator_signature-n", lambda v: operator_signature(1, v), 0,
+     OutOfRange, "n"),
+    ("ket_signature-m", lambda v: ket_signature(v, 1), 0, OutOfRange, "m"),
+    ("parse_cycles-size", lambda v: parse_cycles("e", v), 0, OutOfRange,
+     "size"),
+    ("partial_trace-level", lambda v: _OP.partial_trace([v]), 0, OutOfRange,
+     "level"),
+    ("symmetrizer-total", lambda v: symmetrizer([1], v), 1, OutOfRange,
+     "total"),
+    ("symmetrizer-slot", lambda v: symmetrizer([v], 2), 1, OutOfRange,
+     "slot"),
+    ("antisymmetrizer-slot", lambda v: antisymmetrizer([v, 2], 2), 1,
+     OutOfRange, "slot"),
+    ("YoungShape-row", lambda v: YoungShape((v,)), 1, OutOfRange,
+     "row length"),
+    ("builtin_orthogonal_basis-k", builtin_orthogonal_basis, 1, UnsupportedK,
+     "k of the built-in basis"),
+    ("CycleDecomposition-k", lambda v: CycleDecomposition([], v), 1,
+     InvalidDecomposition, "k"),
+    ("CycleDecomposition.from_text-k",
+     lambda v: CycleDecomposition.from_text("e", v), 1, InvalidDecomposition,
+     "k"),
+    ("pair_singlet_projector-k", lambda v: pair_singlet_projector(v, 1), 1,
+     OutOfRange, "k"),
+    ("pair_singlet_projector-pair", lambda v: pair_singlet_projector(2, v), 1,
+     OutOfRange, "pair"),
+    ("adjoint_pair_diagram-pair", lambda v: adjoint_pair_diagram(2, v), 1,
+     OutOfRange, "pair"),
+    ("all_decompositions-k", all_decompositions, 1, OutOfRange, "k"),
+    ("raw_trace_states-k", raw_trace_states, 1, OutOfRange, "k"),
+    ("derangement_states-k", derangement_states, 2, OutOfRange, "k"),
+    ("derangement_block-s", derangement_block, 2, OutOfRange, "k"),
+    ("normalized_trace_basis-k", normalized_trace_basis, 1, OutOfRange, "k"),
+    ("singlet_basis-builtin-k", lambda v: singlet_basis(v, "builtin"), 1,
+     UnsupportedK, "k of the built-in basis"),
+    ("singlet_basis-trace-k", lambda v: singlet_basis(v, "trace"), 1,
+     OutOfRange, "k"),
+    ("basis_states-k", lambda v: basis_states(v, "trace+orthogonalize"), 1,
+     OutOfRange, "k"),
+    ("singlet_table-k", lambda v: singlet_table(v, "trace"), 1, OutOfRange,
+     "k"),
+    ("singlet_count-k", lambda v: singlet_count(v, 3), 1, OutOfRange, "k"),
+    ("singlet_count-builtin-k", lambda v: singlet_count(v, 3, "builtin"), 1,
+     OutOfRange, "k"),
+    ("singlet_count-N", lambda v: singlet_count(3, v), 1, OutOfRange, "N"),
+    ("is_dimensionally_null-N", lambda v: is_dimensionally_null(_KET, v), 1,
+     OutOfRange, "N"),
+    ("pieri_add_antifundamental-N",
+     lambda v: pieri_add_antifundamental(None, v), 2, OutOfRange, "N"),
+    ("lr_decomposition-m", lambda v: lr_decomposition(v, 1, 3), 0,
+     OutOfRange, "m"),
+    ("lr_decomposition-n", lambda v: lr_decomposition(1, v, 3), 0,
+     OutOfRange, "n"),
+    ("lr_decomposition-N", lambda v: lr_decomposition(1, 1, v), 2,
+     OutOfRange, "N"),
+    ("shape_dimension-N", lambda v: shape_dimension("[1]", v), 2, OutOfRange,
+     "N"),
+    ("transient_singlet_params-m", lambda v: transient_singlet_params(v, 0, 3),
+     0, OutOfRange, "m"),
+    ("transient_singlet_params-n", lambda v: transient_singlet_params(3, v, 3),
+     0, OutOfRange, "n"),
+    ("transient_singlet_params-N", lambda v: transient_singlet_params(3, 0, v),
+     2, OutOfRange, "N"),
+    ("TransientParams-a", lambda v: TransientParams(v, 1, 0, 2), 0,
+     OutOfRange, "a"),
+    ("TransientParams-alpha", lambda v: TransientParams(1, 0, 0, v), 0,
+     OutOfRange, "alpha"),
+    ("epsilon_tensor-N", epsilon_tensor, 2, OutOfRange, "N"),
+    ("leibniz_translate-j", lambda v: leibniz_translate(epsilon_tensor(3), v),
+     1, BadBlockSize, "j"),
+    ("lr_pair_projector-N", lambda v: lr_pair_projector("singlet", v), 2,
+     OutOfRange, "N"),
+    ("transient_singlet_projector-N",
+     lambda v: transient_singlet_projector(_BLOCKS, v), 2, OutOfRange, "N"),
+    ("baryon_equivalence_report-N", baryon_equivalence_report, 2, OutOfRange,
+     "N"),
+    ("verify_baryon_equivalence-N", verify_baryon_equivalence, 2, OutOfRange,
+     "N"),
+]
+
+
+# k=None asks CycleDecomposition to take k from the largest entry
+INFERRED = {"CycleDecomposition-k", "CycleDecomposition.from_text-k"}
+
+
+@pytest.mark.parametrize(
+    "case, call, least, error, name", INTEGER_ARGUMENTS,
+    ids=[case[0] for case in INTEGER_ARGUMENTS])
+def test_integer_arguments_are_checked(case, call, least, error, name):
+    bad_values = [2.5, Fraction(5, 2), "3", least - 1]
+    if case not in INFERRED:
+        bad_values.append(None)
+    for bad in bad_values:
+        message = f"^{re.escape(name)} must be .*, got {re.escape(repr(bad))}$"
+        with pytest.raises(error, match=message):
+            call(bad)
+
+
+def test_integer_takes_numpy_integers_and_returns_ints():
+    value = integer(np.int64(3), "k", 1, 3)
+    assert value == 3 and type(value) is int
+    assert shape_dimension([2, 1], np.int64(3)) == 8
+    assert TransientParams(np.int64(1), 0, 0, 2) == _BLOCKS
+
+
+def test_the_silent_wrong_values_are_refused():
+    # each of these returned a value before its argument was checked
+    with pytest.raises(OutOfRange):
+        shape_dimension([2, 1], 2.5)                 # gave 4
+    with pytest.raises(OutOfRange):
+        singlet_count(2.5, 3, "builtin")             # gave the k=3 count 6
+    with pytest.raises(InvalidDecomposition):
+        CycleDecomposition([(1.5, 2)])               # gave (1 2)
+    with pytest.raises(OutOfRange):
+        TransientParams.from_json(                   # gave a=1
+            {"a": 1.5, "b": 0, "k": 0, "alpha": 2})
+    blob = _KET.to_json()
+    twice = {**blob, "terms": blob["terms"] * 2}
+    with pytest.raises(OutOfRange, match="appears twice"):
+        InvariantElement.from_json(twice)            # kept the last term
+    assert InvariantElement.from_json(blob) == _KET
+
+
+def test_irrep_dimension_reads_every_shape_spelling():
+    want = irrep_dimension("[2,1]")
+    for shape in ([2, 1], (2, 1), YoungShape((2, 1)), " [2, 1] "):
+        assert irrep_dimension(shape) == want
+    assert irrep_dimension(None) == irrep_dimension(()) == 1
+
+
+_SIGNATURE = {"orientations": "qb", "role": "ket"}
+_TERM = {"perm": [1], "coeff": [{"radicand": [1],
+                                  "multiplier": {"num": ["1"], "den": ["1"]}}]}
+_ELEMENT = {"signature": _SIGNATURE, "terms": [_TERM]}
+_OPERATOR = {"kind": "projector", "labels": [0],
+             "normalization": _TERM["coeff"], "ket": _ELEMENT,
+             "bra": _ELEMENT}
+
+
+@pytest.mark.parametrize("load, data", [
+    (Signature.from_json, ["qb", "ket"]),
+    (Signature.from_json, {"orientations": "qb"}),
+    (Signature.from_json, {"orientations": ["q", "b"], "role": "ket"}),
+    (InvariantElement.from_json, {"terms": [_TERM]}),
+    (InvariantElement.from_json, {"signature": _SIGNATURE}),
+    (InvariantElement.from_json, {"signature": _SIGNATURE,
+                                  "terms": [{**_TERM, "perm": [1.0]}]}),
+    (InvariantElement.from_json, {"signature": _SIGNATURE,
+                                  "terms": [{"perm": [1]}]}),
+    (InvariantElement.from_json, {"signature": _SIGNATURE,
+                                  "terms": [_TERM, _TERM]}),
+    (SingletOperator.from_json, {**_OPERATOR, "kind": 5}),
+    (SingletOperator.from_json, {**_OPERATOR, "labels": ["0"]}),
+    (SingletOperator.from_json, {**_OPERATOR, "ket": None}),
+    (TransientParams.from_json, {"a": "x", "b": 0, "k": 0, "alpha": 2}),
+    (TransientParams.from_json, {"a": 1.5, "b": 0, "k": 0, "alpha": 2}),
+    (TransientParams.from_json, {"a": 1, "b": 0, "k": 0}),
+    (TransientParams.from_json, [1, 0, 0, 2]),
+], ids=["signature-list", "signature-no-role", "signature-list-orientations",
+        "element-no-signature", "element-no-terms", "element-float-perm",
+        "element-no-coeff", "element-repeated-perm", "operator-kind-5",
+        "operator-word-label", "operator-no-ket", "transient-word",
+        "transient-fraction", "transient-no-alpha", "transient-list"])
+def test_json_readers_refuse_what_to_json_never_writes(load, data):
+    with pytest.raises(OutOfRange):
+        load(data)
+
+
+def test_json_readers_read_what_to_json_writes():
+    op = SingletOperator.from_json(_OPERATOR)
+    assert op.kind == "projector" and op.labels == (0,)
+    assert op.ket == _KET
+    assert SingletOperator.from_json(op.to_json()) == op
+    assert TransientParams.from_json(_BLOCKS.to_json()) == _BLOCKS
+
+
+# the same malformed cycles as text and as entry tuples, on 1..3
+MALFORMED_CYCLES = [
+    ("(1.5 2)", [(1.5, 2)]),
+    ("(a 2)", [("a", 2)]),
+    ("(0 1)", [(0, 1)]),
+    ("(1 2)(2 3)", [(1, 2), (2, 3)]),
+    ("(1 2 1)", [(1, 2, 1)]),
+    ("(1 4)", [(1, 4)]),
+    ("(1 2)()", [(1, 2), ()]),
+]
+
+
+@pytest.mark.parametrize("text, cycles", MALFORMED_CYCLES,
+                         ids=[text for text, _ in MALFORMED_CYCLES])
+def test_cycle_readers_refuse_the_same_cycles(text, cycles):
+    with pytest.raises(OutOfRange):
+        parse_cycles(text, 3)
+    with pytest.raises(InvalidDecomposition):
+        CycleDecomposition.from_text(text, 3)
+    with pytest.raises(InvalidDecomposition):
+        CycleDecomposition(cycles, 3)
