@@ -1,8 +1,10 @@
 """Named verification suite shared by the command line and the tests.
 
 Every check is self-contained and returns a plain bool, so the caller can
-print a full table even when something breaks halfway through.  Exact
-comparisons stay exact; floats appear only where sampled unitaries do.
+print a full table even when something breaks halfway through.  Every
+comparison is exact, in integers or rationals: group invariance is
+tested through the Lie algebra or on integer group elements, never on
+sampled floats, so no check imports numpy.
 """
 
 from fractions import Fraction
@@ -10,6 +12,7 @@ from fractions import Fraction
 from .coefficients import RadicalCoefficient, rf
 from .coefficients import sqrt as sqrt_coeff
 from .diagrams import (
+    FUND,
     compose,
     inner_product,
     operator_signature,
@@ -24,14 +27,7 @@ from .epsilon import (
     verify_baryon_equivalence,
 )
 from .errors import OutOfRange
-from .numeric import (
-    apply_per_leg,
-    evaluate,
-    evaluate_float,
-    exact_rank,
-    integer_entries,
-    sample_special_unitary,
-)
+from .numeric import evaluate, exact_rank, integer_entries
 from .singlets import rank_one_product, singlet_count, singlet_table
 from .symmetrizers import builtin_orthogonal_basis
 from .tracebasis import (
@@ -176,21 +172,48 @@ def check_pieri_dimensions() -> bool:
 
 
 def check_unitary_invariance() -> bool:
-    """Sampled group elements fix every k <= 3 trace state to 1e-10."""
-    import numpy as np
+    """Every generator of sl(N) annihilates every k <= 3 trace state.
 
+    Exact at N = 2, 3.  A generator X acts as X on a fundamental leg and
+    as -X^T on an antifundamental one, the derivative of U and conj(U);
+    SU(N) is connected, so a state its Lie algebra kills is fixed by the
+    whole group.  The E_ab (a != b) and E_aa - E_a+1,a+1 span sl(N).
+    """
     for k in (1, 2, 3):
         states = raw_trace_states(k)
         for n in (2, 3):
-            vecs = [evaluate_float(s, n) for s in states]
-            for seed in range(5):
-                u = sample_special_unitary(n, seed)
-                legs = [u] * k + [np.conj(u)] * k
-                for vec in vecs:
-                    moved = apply_per_leg(vec, legs)
-                    if np.max(np.abs(moved - vec)) >= 1e-10:
+            generators = [{(a, b): 1} for a in range(n) for b in range(n)
+                          if a != b]
+            generators += [{(a, a): 1, (a + 1, a + 1): -1}
+                           for a in range(n - 1)]
+            for state in states:
+                _, entries = integer_entries(state, n)
+                for x in generators:
+                    legs = [x if o == FUND else _dual(x)
+                            for o in state.sig.orientations]
+                    if _lie_action(entries, legs):
                         return False
     return True
+
+
+def _dual(x: dict) -> dict:
+    """-X^T, the action on an antifundamental leg of X on a fundamental."""
+    return {(c, r): -v for (r, c), v in x.items()}
+
+
+def _lie_action(entries: dict, legs) -> dict:
+    """Nonzero entries of sum over legs l of legs[l] applied to axis l.
+
+    Each leg matrix is {(row, col): value}; the tensor is {index: value}.
+    """
+    out = {}
+    for idx, value in entries.items():
+        for axis, matrix in enumerate(legs):
+            for (row, col), x in matrix.items():
+                if idx[axis] == col:
+                    key = idx[:axis] + (row,) + idx[axis + 1:]
+                    out[key] = out.get(key, 0) + x * value
+    return {key: v for key, v in out.items() if v}
 
 
 def _radical_parts(element):

@@ -9,9 +9,9 @@ them, exit with code 2 and a machine-readable JSON error on stderr; failed
 verification exits with code 1 the same way; success exits with 0.  A
 reader that closes stdout early ends the run with code 1 and no stderr.
 
-The exact commands load no numpy and start no BLAS threads.  `correlator`
-and the float checks of `verify` import numpy, whose BLAS library may start
-its own thread pool.
+Every command but `correlator` is exact, `verify` included: it loads no
+numpy and starts no BLAS threads.  `correlator` imports numpy, whose BLAS
+library may start its own thread pool.
 """
 
 import argparse

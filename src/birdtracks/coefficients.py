@@ -29,6 +29,7 @@ from .errors import (
     RadicalComparisonUnsupported,
     UnsupportedRadicalDivision,
     ZeroRadicand,
+    integer,
 )
 
 # ---------------------------------------------------------------------------
@@ -285,6 +286,7 @@ class RationalFunction:
         return _as_rf(other) / self
 
     def __pow__(self, k: int) -> "RationalFunction":
+        k = integer(k, "exponent", None)
         if k < 0:
             return _RF_ONE / self ** (-k)
         out = _RF_ONE

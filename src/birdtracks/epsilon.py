@@ -33,9 +33,9 @@ from .errors import (
 from .numeric import (
     DENSE_CAP,
     ExactTensor,
-    apply_per_leg,
     evaluate,
-    sample_special_unitary,
+    integer_entries,
+    sample_special_linear,
 )
 from .singlets import singlet_projector
 from .symmetrizers import (
@@ -365,20 +365,30 @@ def baryon_equivalence_report(n_param: int = 3) -> dict[str, bool]:
     # sides; each side flips sign, so the pairing is untouched
     legs["untwisted_variant_matches"] = eps_paired((3, 2)) == main
 
-    import numpy as np
-
-    eps = epsilon_tensor(3).to_array()
-    s_arr = st.to_array()
-    norm = float(sum(v * v for v in st.entries.values()))
+    # the correlators on SU(3): three = eps eps u1 u2 u3 and, over the
+    # pair state, balanced = <s| u1 u2 conj(u3) conj(u3) |s>.  With
+    # conj(u3) read as u3^-T, which it is on unitaries, both are
+    # polynomials in the entries of u1, u2, u3; SU(3) is Zariski dense in
+    # SL(3, C), so an integer g in SL(3, Z) that breaks
+    # three / 6 == balanced / <s|s> breaks it on SU(3) too.  Tested
+    # exactly, cleared of its denominators.
+    eps = {p: _perm_sign(p) for p in itertools.permutations(range(3))}
+    _, s = integer_entries(state, 3)
+    norm = sum(v * v for v in s.values())
     ok = True
     for trial in range(10):
-        u1, u2, u3 = (sample_special_unitary(3, 3 * trial + i)
-                      for i in range(3))
-        three = np.einsum("abc,xyz,ax,by,cz->", eps, eps, u1, u2, u3)
-        moved = apply_per_leg(s_arr, [u1, u2, np.conj(u3), np.conj(u3)])
-        balanced = np.sum(np.conj(s_arr) * moved)
-        if abs(three / 6.0 - balanced / norm) > 1e-10:
+        (u1, _), (u2, _), (u3, u3_inv_t) = (
+            sample_special_linear(3, 3 * trial + line) for line in range(3))
+        three = sum(ea * ex * u1[a][x] * u2[b][y] * u3[c][z]
+                    for (a, b, c), ea in eps.items()
+                    for (x, y, z), ex in eps.items())
+        per_leg = (u1, u2, u3_inv_t, u3_inv_t)
+        balanced = sum(si * sj * math.prod(w[p][q] for w, p, q
+                                           in zip(per_leg, i, j))
+                       for i, si in s.items() for j, sj in s.items())
+        if three * norm != 6 * balanced:
             ok = False
+            break
     legs["correlator_coincidence"] = ok
     return legs
 

@@ -1,10 +1,11 @@
 """Exception types shared across the package, and its one integer check.
 
 Every integer argument of the library (a rank N, a size k, m or n, a
-seed, a pair, slot or level label, a cycle entry, a shape row) is read
-by integer(): it takes anything operator.index accepts, so numpy
-integers work, and raises OutOfRange, or the error type the caller
-names, for anything else and for values outside the bounds.
+seed, a pair, slot or level label, a cycle entry, a shape row, a tensor
+axis, an exponent) is read by integer(): it takes anything
+operator.index accepts, so numpy integers work, and raises OutOfRange,
+or the error type the caller names, for anything else and for values
+outside the bounds.
 """
 
 from operator import index
@@ -74,16 +75,21 @@ class DimensionMismatch(BirdtrackError):
     """Tensor shapes that do not line up for the requested contraction."""
 
 
-def integer(value, name: str, least: int, most: int | None = None,
+def integer(value, name: str, least: int | None, most: int | None = None,
             error: type[BirdtrackError] = OutOfRange) -> int:
-    """value as an int; error unless it is an integer in least..most."""
+    """value as an int; error unless it is an integer in least..most.
+
+    A bound of None leaves that side open.
+    """
     try:
         number = index(value)
     except TypeError:
         number = None
-    if number is None or number < least or (most is not None
-                                             and number > most):
-        bound = ("a positive integer" if least == 1 and most is None
+    if (number is None or (least is not None and number < least)
+            or (most is not None and number > most)):
+        bound = ("an integer" if least is None and most is None
+                 else f"an integer of at most {most}" if least is None
+                 else "a positive integer" if least == 1 and most is None
                  else f"an integer of at least {least}" if most is None
                  else f"an integer in {least}..{most}")
         raise error(f"{name} must be {bound}, got {value!r}")

@@ -3,19 +3,23 @@
 Everything rank- or nullity-shaped runs in exact arithmetic on integers:
 an element at integer N is summed as integer entries over one common
 denominator, and a rank is taken by fraction-free elimination on rows
-scaled to integers.  Floats appear only where unitary matrices do
-(sampled group elements, correlators).
-numpy is imported inside the float functions only, so exact work never
-loads it.
+scaled to integers.  Group elements come in two kinds: integer matrices
+of SL(N, Z) together with their inverse transposes, which the exact
+checks use, and Haar-sampled unitaries, which only the float functions
+(evaluate_float, the unitary sampler, correlators, su(N) generators)
+use.  numpy is imported inside those float functions only, so exact
+work never loads it.
 Index placement: a fundamental leg transforms with U, an antifundamental leg
 with the complex conjugate matrix, so a ket on Mixed(k, k) is invariant
-under U applied to every leg this way.
+under U applied to every leg this way.  For unitary U the conjugate is
+the inverse transpose, which is how an integer g acts on those legs.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import random
 from fractions import Fraction
 from operator import itemgetter
 from typing import TYPE_CHECKING, Sequence
@@ -38,16 +42,9 @@ class ExactTensor:
         self.shape = tuple(shape)
         self.entries = {k: v for k, v in (entries or {}).items() if v}
 
-    def to_array(self) -> np.ndarray:
-        import numpy as np
-
-        out = np.zeros(self.shape, dtype=complex)
-        for idx, val in self.entries.items():
-            out[idx] = float(val)
-        return out
-
     def matrix_rows(self, row_axes: int) -> list[list[Fraction]]:
         """Flatten to a matrix of Fractions, first row_axes axes as rows."""
+        row_axes = integer(row_axes, "row_axes", 0, len(self.shape))
         row_dims = self.shape[:row_axes]
         col_dims = self.shape[row_axes:]
         n_rows = math.prod(row_dims) if row_dims else 1
@@ -61,7 +58,7 @@ class ExactTensor:
 
     def permuted(self, order) -> "ExactTensor":
         """Reorder axes so that new axis i is old axis order[i]."""
-        order = tuple(order)
+        order = tuple(integer(o, "axis", 0) for o in order)
         if sorted(order) != list(range(len(self.shape))):
             raise DimensionMismatch(f"{order} is not an axis permutation")
         shape = tuple(self.shape[o] for o in order)
@@ -223,6 +220,29 @@ def _integer_row(row: Sequence) -> dict[int, int]:
     if content > 1:
         cells = {c: x // content for c, x in cells.items()}
     return cells
+
+
+def sample_special_linear(n: int,
+                          seed: int) -> tuple[list[list[int]], list[list[int]]]:
+    """A deterministic pseudo-random g in SL(n, Z) and its inverse transpose.
+
+    g is a product of 2n elementary factors I + t E_ab (a != b, t != 0),
+    each of determinant 1.  The inverse transpose of such a factor is
+    I - t E_ba, so the same walk builds g^-T alongside g, in integers.
+    """
+    n, seed = integer(n, "N", 2), integer(seed, "seed", 0)
+    rng = random.Random(seed)
+    g = [[int(i == j) for j in range(n)] for i in range(n)]
+    h = [row[:] for row in g]
+    for _ in range(2 * n):
+        a, b = rng.sample(range(n), 2)
+        t = rng.choice((-2, -1, 1, 2))
+        # right multiplication: column b of g gains t times column a, and
+        # column a of h loses t times column b
+        for row_g, row_h in zip(g, h):
+            row_g[b] += t * row_g[a]
+            row_h[a] -= t * row_h[b]
+    return g, h
 
 
 def sample_special_unitary(n: int, seed: int) -> np.ndarray:

@@ -158,7 +158,7 @@ def test_criterion_8_shape_growth_and_dimensions(capsys):
 
 
 def test_criterion_9_sampled_invariance(capsys):
-    _report(capsys, 9, "sampled group elements fix the singlet states",
+    _report(capsys, 9, "the Lie algebra of SU(N) kills the singlet states",
             check_unitary_invariance())
 
 

@@ -28,6 +28,19 @@ def _perturbed_weight(real):
     return product
 
 
+def _perturbed_entry(real):
+    # one entry of the k=3 trace state (1 3 2) at N=3 gains 1
+    target = checks.raw_trace_states(3)[-1]
+
+    def entries(state, n):
+        den, nums = real(state, n)
+        if n == 3 and state == target:
+            key = min(nums)
+            nums = {**nums, key: nums[key] + 1}
+        return den, nums
+    return entries
+
+
 @pytest.mark.parametrize("check, name, fake", [
     (checks.check_symbolic_numeric_agreement, "inner_product",
      lambda real: lambda a, b: real(a, b) * 2),
@@ -39,8 +52,13 @@ def _perturbed_weight(real):
     (checks.check_lr_projectors, "pair_singlet_projector",
      lambda real: checks.adjoint_pair_diagram),
     (checks.check_operator_algebra, "rank_one_product", _perturbed_weight),
+    (checks.check_unitary_invariance, "integer_entries", _perturbed_entry),
+    # +X^T instead of -X^T on the antifundamental legs
+    (checks.check_unitary_invariance, "_dual",
+     lambda real: lambda x: {(c, r): v for (r, c), v in x.items()}),
 ], ids=["scaled-inner-product", "off-by-one-count", "dropped-dense-state",
-        "wrong-pair-projector", "perturbed-product-weight"])
+        "wrong-pair-projector", "perturbed-product-weight",
+        "perturbed-trace-state", "transpose-on-antifundamental"])
 def test_wrong_input_fails_the_check(monkeypatch, check, name, fake):
     monkeypatch.setattr(checks, name, fake(getattr(checks, name)))
     assert check() is False

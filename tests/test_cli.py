@@ -196,8 +196,8 @@ def test_closed_stdout_exits_quietly():
 
 
 def test_exact_commands_leave_numpy_unloaded():
-    # numpy is imported only on the float paths: correlator and the float
-    # checks of verify; a fresh interpreter shows what each command loads
+    # numpy is imported only on the float path, correlator; every verify
+    # check is exact.  A fresh interpreter shows what each command loads
     script = """
 import sys
 import birdtracks, birdtracks.cli
@@ -205,7 +205,7 @@ assert "numpy" not in sys.modules, "import"
 for argv in ("basis --k 2", "gram --k 2 --N 2", "singlets --k 2",
              "trace-basis --k 2 --normalized", "lr --m 2 --n 1 --N 3",
              "transient --m 3 --n 0 --N 3", "eval --k 2 --N 2",
-             "verify --check loop-factor"):
+             "verify --check loop-factor", "verify"):
     assert birdtracks.cli.main(argv.split()) == 0, argv
     assert "numpy" not in sys.modules, argv
 assert birdtracks.cli.main("correlator --k 1 --N 2".split()) == 0

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from birdtracks.coefficients import rf
 from birdtracks.diagrams import (
     InvariantElement,
     Signature,
@@ -36,10 +37,12 @@ from birdtracks.errors import (
     integer,
 )
 from birdtracks.numeric import (
+    ExactTensor,
     evaluate,
     evaluate_float,
     generalized_gell_mann,
     integer_entries,
+    sample_special_linear,
     sample_special_unitary,
 )
 from birdtracks.singlets import (
@@ -84,7 +87,15 @@ INTEGER_ARGUMENTS = [
      OutOfRange, "N"),
     ("sample_special_unitary-seed", lambda v: sample_special_unitary(2, v), 0,
      OutOfRange, "seed"),
+    ("sample_special_linear-N", lambda v: sample_special_linear(v, 0), 2,
+     OutOfRange, "N"),
+    ("sample_special_linear-seed", lambda v: sample_special_linear(2, v), 0,
+     OutOfRange, "seed"),
     ("generalized_gell_mann-N", generalized_gell_mann, 1, OutOfRange, "N"),
+    ("ExactTensor.matrix_rows-row_axes",
+     lambda v: ExactTensor((2, 2)).matrix_rows(v), 0, OutOfRange, "row_axes"),
+    ("ExactTensor.permuted-axis",
+     lambda v: ExactTensor((2, 2)).permuted((v, 0)), 0, OutOfRange, "axis"),
     ("operator_signature-m", lambda v: operator_signature(v, 1), 0,
      OutOfRange, "m"),
     ("operator_signature-n", lambda v: operator_signature(1, v), 0,
@@ -208,6 +219,18 @@ def test_the_silent_wrong_values_are_refused():
     with pytest.raises(OutOfRange, match="appears twice"):
         InvariantElement.from_json(twice)            # kept the last term
     assert InvariantElement.from_json(blob) == _KET
+
+
+def test_float_exponents_and_axes_are_refused():
+    # each of these raised a bare TypeError; 1.0 == 1 also passed the
+    # axis-permutation test of permuted
+    with pytest.raises(OutOfRange, match="exponent"):
+        rf([0, 1]) ** 2.5
+    with pytest.raises(OutOfRange, match="row_axes"):
+        ExactTensor((2, 2)).matrix_rows(1.5)
+    with pytest.raises(OutOfRange, match="axis"):
+        ExactTensor((2, 2)).permuted((1.0, 0.0))
+    assert rf([0, 1]) ** np.int64(-2) == rf([1], [0, 0, 1])
 
 
 def test_irrep_dimension_reads_every_shape_spelling():

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from birdtracks import epsilon
 from birdtracks.coefficients import rf
 from birdtracks.diagrams import (
     InvariantElement,
@@ -291,6 +292,19 @@ def test_baryon_equivalence_holds_at_three():
         "correlator_coincidence": True,
     }
     assert verify_baryon_equivalence(3)
+
+
+def test_baryon_correlator_needs_the_inverse_transpose(monkeypatch):
+    # g in place of g^-T on the antiquark legs is not conj(U) on SU(3)
+    real = epsilon.sample_special_linear
+    monkeypatch.setattr(epsilon, "sample_special_linear",
+                        lambda n, seed: (real(n, seed)[0],) * 2)
+    report = baryon_equivalence_report(3)
+    assert not report["correlator_coincidence"]
+    assert all(ok for leg, ok in report.items()
+               if leg != "correlator_coincidence")
+    monkeypatch.undo()
+    assert baryon_equivalence_report(3)["correlator_coincidence"]
 
 
 def test_baryon_equivalence_fails_off_three():

@@ -23,14 +23,17 @@ from birdtracks.diagrams import (
 from birdtracks.errors import OutOfRange, RadicalComparisonUnsupported
 from birdtracks.numeric import (
     ExactTensor,
+    apply_per_leg,
     correlator_matrix,
     evaluate,
     evaluate_float,
     exact_rank,
     generalized_gell_mann,
     integer_entries,
+    sample_special_linear,
     sample_special_unitary,
 )
+from birdtracks.tracebasis import raw_trace_states
 
 
 def random_perm(rng, size):
@@ -173,6 +176,51 @@ def test_sampled_unitary_is_special_and_seed_stable():
 def test_negative_seed_is_refused():
     with pytest.raises(OutOfRange, match="seed"):
         sample_special_unitary(2, seed=-1)
+
+
+def _exact_det(m):
+    size = len(m)
+    total = 0
+    for perm in itertools.permutations(range(size)):
+        term = _perm_sign(perm)
+        for row, col in enumerate(perm):
+            term *= m[row][col]
+        total += term
+    return total
+
+
+def test_special_linear_sample_comes_with_its_inverse_transpose():
+    for n in (2, 3, 4):
+        eye = [[int(i == j) for j in range(n)] for i in range(n)]
+        for seed in range(30):
+            g, h = sample_special_linear(n, seed)
+            assert _exact_det(g) == 1
+            # h = g^-T, so g h^T = I
+            assert [[sum(g[i][t] * h[j][t] for t in range(n))
+                     for j in range(n)] for i in range(n)] == eye
+            assert g != eye
+
+
+def test_special_linear_sample_is_seed_stable():
+    for n in (2, 3, 4):
+        assert sample_special_linear(n, 7) == sample_special_linear(n, 7)
+    assert len({str(sample_special_linear(3, seed)[0])
+                for seed in range(30)}) > 20
+
+
+def test_sampled_unitaries_fix_every_trace_state():
+    # the float route of correlator: U on fundamental legs, conj(U) on
+    # antifundamental ones, for every k <= 3 trace state
+    for k in (1, 2, 3):
+        states = raw_trace_states(k)
+        for n in (2, 3):
+            vecs = [evaluate_float(s, n) for s in states]
+            for seed in range(5):
+                u = sample_special_unitary(n, seed)
+                legs = [u] * k + [np.conj(u)] * k
+                for vec in vecs:
+                    moved = apply_per_leg(vec, legs)
+                    assert np.max(np.abs(moved - vec)) < 1e-10
 
 
 def test_delta_ket_is_invariant():
