@@ -3,7 +3,11 @@
 Output is deterministic: the same configuration and seed produce
 byte-identical output, and JSON payloads carry a "schema": "1" marker so
 they can be re-parsed and compared as values.  JSON output has the bytes
-json.dumps gives with indent=2, each shared container rendered once.
+json.dumps gives with indent=2.  It is streamed to stdout or --output in
+pieces: a container the payload shares, such as a ket that many table
+operators hold, is rendered to text once per depth, and the containers
+around it are written item by item, so such a payload's text never
+exists whole; a payload that shares nothing is written in one piece.
 Configuration problems, an --output path that cannot be written among
 them, exit with code 2 and a machine-readable JSON error on stderr; failed
 verification exits with code 1 the same way; success exits with 0.  A
@@ -29,7 +33,7 @@ from .epsilon import (
     transient_singlet_params,
 )
 from .errors import BirdtrackError
-from .numeric import correlator_matrix, sample_special_unitary
+from .numeric import correlate, evaluate_float, sample_special_unitary
 from .singlets import (
     SOURCES,
     _require_finite,
@@ -57,17 +61,55 @@ class _Parser(argparse.ArgumentParser):
 _scalar_json = json.JSONEncoder().encode
 
 
-def _render_json(value) -> str:
-    """The text json.dumps gives for value with indent=2; keys must be str.
+_CONTAINERS = (dict, list, tuple)
 
-    Each container's text is memoized by (id, depth) for this call, so a
-    ket shared by many operators is rendered once per depth; the payload
-    keeps every container alive, so no id is reused meanwhile.
+
+def _sharing(value) -> tuple[set, set]:
+    """The ids of the containers that occur more than once in value, and
+    of the containers that hold one of those at any depth.
+
+    Each container is walked once: a container met again is not entered,
+    and the holders of all its occurrences are marked along the chain of
+    first parents, which stops at a container already marked.
     """
+    parent = {id(value): None}
+    shared, holders = set(), set()
+    stack = [value] if isinstance(value, _CONTAINERS) else []
+    while stack:
+        obj = stack.pop()
+        here = id(obj)
+        for child in obj.values() if isinstance(obj, dict) else obj:
+            if not isinstance(child, _CONTAINERS):
+                continue
+            key = id(child)
+            if key not in parent:
+                parent[key] = here
+                stack.append(child)
+                continue
+            shared.add(key)
+            for node in (here, parent[key]):
+                while node is not None and node not in holders:
+                    holders.add(node)
+                    node = parent[node]
+    return shared, holders
+
+
+def _write_json(value, write) -> None:
+    """Pass write the text json.dumps gives for value with indent=2, in
+    pieces; keys must be str.
+
+    A container that occurs more than once in value, such as a ket shared
+    by many operators, is rendered to text once per depth and memoized by
+    (id, depth); the payload keeps every container alive, so no id is
+    reused meanwhile.  A container that holds one is written item by item,
+    and every other container is rendered to text in one go, so a payload
+    that shares nothing is written whole.
+    """
+    shared, holders = _sharing(value)
     memo = {}
 
     def render(obj, depth):
-        if not isinstance(obj, (dict, list, tuple)):
+        if not isinstance(obj, _CONTAINERS):
             return _scalar_json(obj)
         key = (id(obj), depth)
         text = memo.get(key)
@@ -82,10 +124,28 @@ def _render_json(value) -> str:
                 ends = "[]"
             text = (ends[0] + pad + ("," + pad).join(items) + pad[:-2]
                     + ends[1]) if items else ends
-            memo[key] = text
+            if key[0] in shared:
+                memo[key] = text
         return text
 
-    return render(value, 0)
+    def stream(obj, depth):
+        if id(obj) in shared or id(obj) not in holders:
+            write(render(obj, depth))
+            return
+        pad = "\n" + "  " * (depth + 1)
+        is_dict = isinstance(obj, dict)
+        lead = "{" if is_dict else "["
+        for item in obj.items() if is_dict else obj:
+            if is_dict:
+                write(lead + pad + _scalar_json(item[0]) + ": ")
+                item = item[1]
+            else:
+                write(lead + pad)
+            stream(item, depth + 1)
+            lead = ","
+        write(pad[:-2] + ("}" if is_dict else "]"))
+
+    stream(value, 0)
 
 
 def _frac_latex(x: Fraction) -> str:
@@ -394,14 +454,12 @@ def _cmd_verify(args):
 def _cmd_correlator(args):
     import numpy as np
 
-    states = raw_trace_states(args.k)
-    eye = np.eye(args.N, dtype=complex)
-    base = correlator_matrix(states, [eye] * (2 * args.k), args.N)
+    vecs = [evaluate_float(s, args.N) for s in raw_trace_states(args.k)]
+    base = correlate(vecs)
     runs = []
     for seed in range(args.seed, args.seed + args.samples):
         u = sample_special_unitary(args.N, seed)
-        legs = [u] * args.k + [np.conj(u)] * args.k
-        moved = correlator_matrix(states, legs, args.N)
+        moved = correlate(vecs, [u] * args.k + [np.conj(u)] * args.k)
         runs.append((seed, float(np.max(np.abs(moved - base))), moved))
     worst = max([0.0] + [residual for _, residual, _ in runs])
     ok = worst <= args.tolerance
@@ -522,6 +580,15 @@ def _validate(args) -> None:
             raise ConfigError(f"--output directory {parent} is not writable")
 
 
+def _write_output(output, fmt: str, write) -> None:
+    """Pass write a command's output in format fmt and the final newline."""
+    if fmt == "json":
+        _write_json(output, write)
+    else:
+        write("\n".join(output))
+    write("\n")
+
+
 def _emit_error(code: int, message: str) -> int:
     blob = {"schema": SCHEMA, "error": {"code": code, "message": message}}
     print(json.dumps(blob), file=sys.stderr)
@@ -537,18 +604,16 @@ def main(argv=None) -> int:
         return _emit_error(2, str(exc))
     except BirdtrackError as exc:
         return _emit_error(2, f"{type(exc).__name__}: {exc}")
-    rendered = (_render_json(output) if args.format == "json"
-                else "\n".join(output))
     if args.output:
         try:
             with open(args.output, "w", encoding="utf-8") as handle:
-                handle.write(rendered + "\n")
+                _write_output(output, args.format, handle.write)
         except OSError as exc:
             return _emit_error(2, f"cannot write --output {args.output}: "
                                   f"{exc.strerror or exc}")
     else:
         try:
-            print(rendered)
+            _write_output(output, args.format, sys.stdout.write)
             sys.stdout.flush()
         except BrokenPipeError:
             # Python flushes stdout again at exit; devnull keeps that

@@ -6,9 +6,9 @@ denominator, and a rank is taken by fraction-free elimination on rows
 scaled to integers.  Group elements come in two kinds: integer matrices
 of SL(N, Z) together with their inverse transposes, which the exact
 checks use, and Haar-sampled unitaries, which only the float functions
-(evaluate_float, the unitary sampler, correlators, su(N) generators)
-use.  numpy is imported inside those float functions only, so exact
-work never loads it.
+(evaluate_float, the unitary sampler and the correlators) use.  numpy is
+imported inside those float functions only, so exact work never loads
+it.
 Index placement: a fundamental leg transforms with U, an antifundamental leg
 with the complex conjugate matrix, so a ket on Mixed(k, k) is invariant
 under U applied to every leg this way.  For unitary U the conjugate is
@@ -287,50 +287,33 @@ def correlator_matrix(states: Sequence[InvariantElement],
     Fundamental legs expect the sampled U itself, antifundamental legs its
     complex conjugate; callers pass exactly what each leg should receive.
     """
+    if states:
+        sig = states[0].sig
+        if sig.is_operator():
+            raise DimensionMismatch("correlator states must be kets")
+        if len(leg_matrices) != sig.n_slots:
+            raise DimensionMismatch(
+                f"{len(leg_matrices)} matrices for {sig.n_slots} legs")
+        if any(s.sig != sig for s in states):
+            raise DimensionMismatch("correlator states on mixed signatures")
+    return correlate([evaluate_float(s, n) for s in states], leg_matrices)
+
+
+def correlate(vecs: Sequence[np.ndarray],
+              leg_matrices: Sequence[np.ndarray] | None = None) -> np.ndarray:
+    """Entries <vec_i| (⊗ per-leg matrices) |vec_j> of dense kets.
+
+    Without leg_matrices this is their Gram matrix, every leg untouched.
+    Evaluating the states once and correlating them under many sets of
+    leg matrices spares re-evaluating them per set.
+    """
     import numpy as np
 
-    if not states:
-        return np.zeros((0, 0), dtype=complex)
-    sig = states[0].sig
-    if sig.is_operator():
-        raise DimensionMismatch("correlator states must be kets")
-    if len(leg_matrices) != sig.n_slots:
-        raise DimensionMismatch(
-            f"{len(leg_matrices)} matrices for {sig.n_slots} legs")
-    for s in states:
-        if s.sig != sig:
-            raise DimensionMismatch("correlator states on mixed signatures")
-    vecs = [evaluate_float(s, n) for s in states]
-    moved = [apply_per_leg(v, leg_matrices) for v in vecs]
-    size = len(states)
+    moved = (vecs if leg_matrices is None
+             else [apply_per_leg(v, leg_matrices) for v in vecs])
+    size = len(vecs)
     out = np.zeros((size, size), dtype=complex)
     for i in range(size):
         for j in range(size):
             out[i, j] = np.sum(np.conj(vecs[i]) * moved[j])
     return out
-
-
-def generalized_gell_mann(n: int) -> list[np.ndarray]:
-    """Traceless Hermitian generators of su(n) with Tr(t^a t^b) = delta^ab."""
-    n = integer(n, "N", 1)
-    import numpy as np
-
-    gens = []
-    root_half = 1.0 / math.sqrt(2.0)
-    for i in range(n):
-        for j in range(i + 1, n):
-            sym = np.zeros((n, n), dtype=complex)
-            sym[i, j] = sym[j, i] = root_half
-            gens.append(sym)
-            anti = np.zeros((n, n), dtype=complex)
-            anti[i, j] = -1j * root_half
-            anti[j, i] = 1j * root_half
-            gens.append(anti)
-    for m in range(1, n):
-        diag = np.zeros((n, n), dtype=complex)
-        for i in range(m):
-            diag[i, i] = 1.0
-        diag[m, m] = -m
-        diag /= math.sqrt(m * (m + 1))
-        gens.append(diag)
-    return gens

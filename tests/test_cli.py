@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import birdtracks
-from birdtracks.cli import _render_json, main
+from birdtracks import cli
+from birdtracks.cli import _COMMANDS, _write_json, build_parser, main
 
 
 def run(capsys, *argv):
@@ -118,6 +119,17 @@ def test_correlator_reports_residual_per_sample(capsys):
     assert payload["max_residual"] <= payload["tolerance"]
 
 
+def test_correlator_evaluates_each_state_once(capsys, monkeypatch):
+    calls = []
+    evaluate = cli.evaluate_float
+    monkeypatch.setattr(cli, "evaluate_float",
+                        lambda state, n: calls.append(n) or evaluate(state, n))
+    code, _, _ = run(capsys, "correlator", "--k", "3", "--N", "3",
+                     "--samples", "4")
+    assert code == 0
+    assert calls == [3] * 6
+
+
 def test_correlator_impossible_tolerance_fails(capsys):
     code, out, err = run(capsys, "correlator", "--k", "2", "--N", "3",
                          "--tolerance", "1e-300")
@@ -177,21 +189,36 @@ def test_source_rejected_before_computation(capsys):
     assert "bogus" in blob["error"]["message"]
 
 
-def test_closed_stdout_exits_quietly():
-    # 217 kB of JSON overfills the pipe, so the write after the reader
-    # has gone fails for certain
+def _close_after_first_line(*argv):
+    """Exit code and stderr of a CLI run whose reader leaves after one line."""
     src = os.path.dirname(os.path.dirname(birdtracks.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "birdtracks.cli", "singlets", "--k", "3",
-         "--format", "json"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc = subprocess.Popen([sys.executable, "-m", "birdtracks.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=env)
     assert proc.stdout.readline() == b"{\n"
     proc.stdout.close()
     err = proc.stderr.read()
     proc.stderr.close()
-    assert proc.wait(timeout=60) == 1
+    return proc.wait(timeout=60), err
+
+
+def test_closed_stdout_exits_quietly():
+    # 217 kB of JSON overfills the pipe, so the write after the reader
+    # has gone fails for certain
+    code, err = _close_after_first_line("singlets", "--k", "3",
+                                        "--format", "json")
+    assert code == 1
     assert b"Traceback" not in err
+    assert err == b""
+
+
+def test_closed_stdout_mid_stream_exits_quietly():
+    # the 4 MB k=4 table is written in pieces, so the reader leaves while
+    # most of it is still unwritten
+    code, err = _close_after_first_line("singlets", "--k", "4", "--source",
+                                        "trace", "--format", "json")
+    assert code == 1
     assert err == b""
 
 
@@ -354,14 +381,29 @@ def test_unwritable_output_is_exit_2(capsys, tmp_path, where):
     assert json.loads(err)["error"]["code"] == 2
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_full_device_fails_mid_stream_with_exit_2(capsys):
+    code, out, err = run(capsys, "singlets", "--k", "4", "--source", "trace",
+                         "--format", "json", "--output", "/dev/full")
+    assert code == 2
+    assert out == ""
+    assert "cannot write --output /dev/full" in json.loads(err)["error"][
+        "message"]
+
+
 def test_output_file_has_the_stdout_bytes(capsys, tmp_path):
-    argv = ("singlets", "--k", "3", "--source", "builtin", "--format", "json")
-    target = tmp_path / "table.json"
-    code, out, _ = run(capsys, *argv)
-    assert code == 0
-    code, empty, _ = run(capsys, *argv, "--output", str(target))
-    assert code == 0 and empty == ""
-    assert target.read_bytes() == out.encode()
+    # the tables are streamed around their shared kets; the trace basis
+    # shares no container and is written in one piece
+    for argv in (("singlets", "--k", "3", "--source", "builtin"),
+                 ("singlets", "--k", "4", "--source", "trace"),
+                 ("trace-basis", "--k", "3", "--normalized")):
+        target = tmp_path / "table.json"
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        code, empty, _ = run(capsys, *argv, "--format", "json",
+                             "--output", str(target))
+        assert code == 0 and empty == ""
+        assert target.read_bytes() == out.encode()
 
 
 _json_strings = st.text(
@@ -400,7 +442,21 @@ def _shared_json(draw):
 @settings(max_examples=200, deadline=None)
 @given(_json_values | _shared_json())
 def test_render_json_matches_indented_dumps(value):
-    assert _render_json(value) == json.dumps(value, indent=2)
+    pieces = []
+    _write_json(value, pieces.append)
+    assert "".join(pieces) == json.dumps(value, indent=2)
+
+
+def test_json_writer_streams_the_k4_table():
+    args = build_parser().parse_args(["singlets", "--k", "4", "--source",
+                                      "trace", "--format", "json"])
+    payload, _ = _COMMANDS["singlets"](args)
+    pieces = []
+    _write_json(payload, pieces.append)
+    text = "".join(pieces)
+    assert text == json.dumps(payload, indent=2)
+    # written whole, the text would be a single piece
+    assert max(len(piece) for piece in pieces) <= len(text) / 20
 
 
 def test_gram_evaluated_entries(capsys):

@@ -40,7 +40,6 @@ from birdtracks.numeric import (
     ExactTensor,
     evaluate,
     evaluate_float,
-    generalized_gell_mann,
     integer_entries,
     sample_special_linear,
     sample_special_unitary,
@@ -91,7 +90,6 @@ INTEGER_ARGUMENTS = [
      OutOfRange, "N"),
     ("sample_special_linear-seed", lambda v: sample_special_linear(2, v), 0,
      OutOfRange, "seed"),
-    ("generalized_gell_mann-N", generalized_gell_mann, 1, OutOfRange, "N"),
     ("ExactTensor.matrix_rows-row_axes",
      lambda v: ExactTensor((2, 2)).matrix_rows(v), 0, OutOfRange, "row_axes"),
     ("ExactTensor.permuted-axis",

@@ -24,16 +24,17 @@ from birdtracks.errors import OutOfRange, RadicalComparisonUnsupported
 from birdtracks.numeric import (
     ExactTensor,
     apply_per_leg,
+    correlate,
     correlator_matrix,
     evaluate,
     evaluate_float,
     exact_rank,
-    generalized_gell_mann,
     integer_entries,
     sample_special_linear,
     sample_special_unitary,
 )
 from birdtracks.tracebasis import raw_trace_states
+from su_generators import generalized_gell_mann
 
 
 def random_perm(rng, size):
@@ -234,6 +235,17 @@ def test_delta_ket_is_invariant():
             big = np.kron(u, np.conj(u))
             moved = (big @ vec.reshape(-1)).reshape(vec.shape)
             assert np.max(np.abs(moved - vec)) < 1e-12
+
+
+def test_gram_correlation_is_the_identity_contraction():
+    # correlator's unrotated matrix: the plain Gram matrix of the dense
+    # kets has the bits of contracting the identity into every leg
+    for k, n in ((1, 2), (2, 3), (3, 3)):
+        states = raw_trace_states(k)
+        eye = np.eye(n, dtype=complex)
+        assert np.array_equal(
+            correlate([evaluate_float(s, n) for s in states]),
+            correlator_matrix(states, [eye] * (2 * k), n))
 
 
 def test_dipole_correlator_at_coincidence():

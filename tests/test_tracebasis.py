@@ -15,7 +15,7 @@ from birdtracks.diagrams import (
     permutation_element,
 )
 from birdtracks.errors import InvalidDecomposition, OutOfRange
-from birdtracks.numeric import evaluate, exact_rank, generalized_gell_mann
+from birdtracks.numeric import evaluate, exact_rank
 from birdtracks.singlets import _ket_projector, gram_matrix, singlet_count
 from birdtracks.tracebasis import (
     CycleDecomposition,
@@ -28,6 +28,7 @@ from birdtracks.tracebasis import (
     raw_trace_states,
     trace_basis_state,
 )
+from su_generators import generalized_gell_mann
 
 
 def rc(num, den=(1,)):
