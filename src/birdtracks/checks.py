@@ -13,6 +13,7 @@ from .coefficients import RadicalCoefficient, rf
 from .coefficients import sqrt as sqrt_coeff
 from .diagrams import (
     FUND,
+    InvariantElement,
     compose,
     inner_product,
     operator_signature,
@@ -28,7 +29,12 @@ from .epsilon import (
 )
 from .errors import OutOfRange
 from .numeric import evaluate, exact_rank, integer_entries
-from .singlets import rank_one_product, singlet_count, singlet_table
+from .singlets import (
+    gram_matrix,
+    rank_one_product,
+    singlet_count,
+    singlet_table,
+)
 from .symmetrizers import builtin_orthogonal_basis
 from .tracebasis import (
     adjoint_pair_diagram,
@@ -81,23 +87,38 @@ def check_xi_constants() -> bool:
 
 
 def check_operator_algebra() -> bool:
-    """The 36 three-strand operators close under composition row-on-column."""
+    """The 36 three-strand operators close under composition row-on-column.
+
+    Entry T_ij is n_ij |i><j| over the six diagonal kets, so
+    T_ij T_kl = n_ij n_kl <j|k> |i><l|; with G the kets' Gram matrix, the
+    table closes iff every weight n_ij n_kl G_jk is n_il for j == k and
+    zero otherwise.  Those 1296 weights are checked as coefficients, once
+    each entry is known to be n_ij |i><j|; the products T_i0 T_0l are
+    composed and compared with the expanded T_il.
+    """
     table = singlet_table(3, "builtin")
     size = len(table)
-    expanded = [[op.expand() for op in row] for row in table]
+    kets = [table[i][i].ket for i in range(size)]
+    gram = gram_matrix(kets)
+    norms = [[op.normalization for op in row] for row in table]
     for i in range(size):
         for j in range(size):
-            if table[i][j].dagger() != table[j][i]:
+            op = table[i][j]
+            if (op.dagger() != table[j][i] or op.ket != kets[i]
+                    or op.bra != kets[j]):
                 return False
             for k in range(size):
+                left = norms[i][j] * gram[j][k]
                 for l in range(size):
-                    product = rank_one_product(table[i][j], table[k][l])
+                    weight = left * norms[k][l]
                     if j == k:
-                        if product != expanded[i][l]:
+                        if weight != norms[i][l]:
                             return False
-                    elif not product.is_zero():
+                    elif not weight.is_zero():
                         return False
-    return True
+    return all(rank_one_product(table[i][0], table[0][l])
+               == table[i][l].expand()
+               for i in range(size) for l in range(size))
 
 
 def check_singlet_counts() -> bool:
@@ -218,8 +239,6 @@ def _lie_action(entries: dict, legs) -> dict:
 
 def _radical_parts(element):
     """Split an element as sum over radicands d of sqrt(d) * rational part."""
-    from .diagrams import InvariantElement
-
     grouped = {}
     for diag, coeff in element.terms.items():
         for key, mult in coeff.terms.items():
@@ -233,13 +252,15 @@ def _radical_dot(a, b, n):
     """Exact <a|b> at N=n by direct index contraction, radicals allowed.
 
     The same {squarefree radicand: rational} layout RadicalCoefficient
-    evaluation produces, so results compare exactly.
+    evaluation produces, so results compare exactly.  A self-pair a is b
+    is split and evaluated once.
     """
-    parts_b = [(root, integer_entries(part, n))
-               for root, part in _radical_parts(b)]
+    parts_a = [(root, integer_entries(part, n))
+               for root, part in _radical_parts(a)]
+    parts_b = parts_a if a is b else [(root, integer_entries(part, n))
+                                      for root, part in _radical_parts(b)]
     out = {}
-    for root_a, part_a in _radical_parts(a):
-        den_a, left = integer_entries(part_a, n)
+    for root_a, (den_a, left) in parts_a:
         for root_b, (den_b, right) in parts_b:
             total = sum(left[key] * right[key]
                         for key in left.keys() & right.keys())

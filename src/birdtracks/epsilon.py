@@ -229,7 +229,7 @@ def leibniz_translate(tensor_in: ExactTensor, j: int):
 
 def _mat_mul(a, b):
     size = len(a)
-    out = [[Fraction(0)] * size for _ in range(size)]
+    out = [[0] * size for _ in range(size)]
     for i, row in enumerate(a):
         target = out[i]
         for t, x in enumerate(row):
@@ -252,6 +252,11 @@ def lr_pair_projector(kind: str, n_param: int) -> ExactTensor:
     be idempotent (for the singlet seed that scale works out to N).  Axes
     run (fund out, anti out, fund in, anti in); the results agree with
     the Fierz forms (1/N) trace-pair and identity - (1/N) trace-pair.
+
+    The seed's integer entries are translated and squared in integers:
+    its denominator and the 1/N! are one positive factor c, and with M
+    the integer matrix, M / c squares to a multiple of itself iff M does,
+    and then the projector is M / scale for M^2 = scale * M.
     """
     n_param = integer(n_param, "N", 2)
     if kind == "singlet":
@@ -267,7 +272,7 @@ def lr_pair_projector(kind: str, n_param: int) -> ExactTensor:
     n = n_param
     out_block = tuple(level - 1 for level in column)
     kept = next(a for a in range(n) if a not in out_block)
-    t = evaluate(seed, n)
+    t = ExactTensor((n,) * (2 * n), entries=integer_entries(seed, n)[1])
     # swallow the output column: one fresh antifundamental-out leg
     t, _ = leibniz_translate(
         t.permuted(out_block + (kept,) + tuple(range(n, 2 * n))), 1)
@@ -276,27 +281,20 @@ def lr_pair_projector(kind: str, n_param: int) -> ExactTensor:
         t.permuted(tuple(2 + a for a in out_block) + (0, 1, 2 + kept)), 1)
     # axes now: anti-in, anti-out, fund-out, fund-in
     raw = t.permuted((2, 1, 3, 0))
-    pair = Fraction(1, math.factorial(n))
-    entries = {key: val * pair for key, val in raw.entries.items()}
-    mat = ExactTensor(raw.shape, entries=entries).matrix_rows(2)
+    mat = raw.matrix_rows(2)
     square = _mat_mul(mat, mat)
-    scale = None
-    for row_m, row_s in zip(mat, square):
-        for c, x in enumerate(row_m):
-            if x:
-                scale = row_s[c] / x
-                break
-        if scale is not None:
-            break
-    if not scale:
+    # scale = p / x at the first nonzero entry x of M, p its square's entry
+    x, p = next(((x, row_s[c]) for row_m, row_s in zip(mat, square)
+                 for c, x in enumerate(row_m) if x), (0, 0))
+    if not p:
         raise NotProportional("translated operator squares to zero")
     for row_m, row_s in zip(mat, square):
-        for x, y in zip(row_m, row_s):
-            if y != scale * x:
+        for m, y in zip(row_m, row_s):
+            if y * x != p * m:
                 raise NotProportional(
                     "translated operator does not square to itself")
-    entries = {key: val / scale for key, val in entries.items()}
-    return ExactTensor(raw.shape, entries=entries)
+    return ExactTensor(raw.shape, entries={
+        key: Fraction(val * x, p) for key, val in raw.entries.items()})
 
 
 def transient_singlet_projector(params: TransientParams, n_param: int):

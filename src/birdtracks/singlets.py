@@ -6,9 +6,10 @@ legs, and every such state is invariant under the simultaneous group
 action.  Distinct invariant operators bend into states of the same
 single isotypic block, so between any two nonzero bent states there is a
 transition operator, and every bent state normalizes into a projector.
-This module keeps those operators in rank-one form, multiplies them
-without ever expanding, counts how many survive at a given integer N,
-and spots states that are dimensionally null.
+This module keeps those operators in rank-one form, multiplies two of
+them through one inner product of the kets between them, counts how
+many survive at a given integer N, and spots states that are
+dimensionally null.
 """
 
 import math
@@ -120,10 +121,11 @@ def _transition(to: SingletOperator, source: SingletOperator,
 
 
 def rank_one_product(a: SingletOperator, b: SingletOperator) -> InvariantElement:
-    """Compose two rank-one operators without expanding them.
+    """Compose two rank-one operators through one ket inner product.
 
-    The result is <bra_a|ket_b> times the outer product of a's ket with
-    b's bra, carrying both normalizations.
+    The weight is <bra_a|ket_b> times both normalizations, and the result
+    is that weight times the outer product of a's ket with b's bra,
+    expanded by ketbra; a zero weight gives the zero operator unexpanded.
     """
     weight = a.normalization * b.normalization * inner_product(a.bra, b.ket)
     if weight.is_zero():

@@ -1,5 +1,8 @@
 """Guards of the named verification checks."""
 
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import pytest
@@ -28,17 +31,39 @@ def _perturbed_weight(real):
     return product
 
 
-def _perturbed_entry(real):
-    # one entry of the k=3 trace state (1 3 2) at N=3 gains 1
-    target = checks.raw_trace_states(3)[-1]
+def _perturbed_entry(target):
+    # one entry of the state target() at N=3 gains 1
+    def fake(real):
+        state = target()
 
-    def entries(state, n):
-        den, nums = real(state, n)
-        if n == 3 and state == target:
-            key = min(nums)
-            nums = {**nums, key: nums[key] + 1}
-        return den, nums
-    return entries
+        def entries(element, n):
+            den, nums = real(element, n)
+            if n == 3 and element == state:
+                key = min(nums)
+                nums = {**nums, key: nums[key] + 1}
+            return den, nums
+        return entries
+    return fake
+
+
+def _nonzero_off_diagonal(real):
+    def gram(states):
+        rows = [row[:] for row in real(states)]
+        rows[0][1] = rows[0][0]
+        return rows
+    return gram
+
+
+def _foreign_state(side):
+    # T_12 carries state 3's ket or bra; T_21 stays its dagger
+    def fake(real):
+        def table(k, source):
+            rows = [row[:] for row in real(k, source)]
+            rows[1][2] = replace(rows[1][2], **{side: rows[3][3].ket})
+            rows[2][1] = rows[1][2].dagger()
+            return rows
+        return table
+    return fake
 
 
 @pytest.mark.parametrize("check, name, fake", [
@@ -52,13 +77,22 @@ def _perturbed_entry(real):
     (checks.check_lr_projectors, "pair_singlet_projector",
      lambda real: checks.adjoint_pair_diagram),
     (checks.check_operator_algebra, "rank_one_product", _perturbed_weight),
-    (checks.check_unitary_invariance, "integer_entries", _perturbed_entry),
+    (checks.check_operator_algebra, "gram_matrix", _nonzero_off_diagonal),
+    (checks.check_operator_algebra, "singlet_table", _foreign_state("ket")),
+    (checks.check_operator_algebra, "singlet_table", _foreign_state("bra")),
+    (checks.check_unitary_invariance, "integer_entries",
+     _perturbed_entry(lambda: checks.raw_trace_states(3)[-1])),
+    # a self-pair is evaluated once, and both of its sides see the change
+    (checks.check_symbolic_numeric_agreement, "integer_entries",
+     _perturbed_entry(lambda: checks.builtin_orthogonal_basis(3)[1].bend())),
     # +X^T instead of -X^T on the antifundamental legs
     (checks.check_unitary_invariance, "_dual",
      lambda real: lambda x: {(c, r): v for (r, c), v in x.items()}),
 ], ids=["scaled-inner-product", "off-by-one-count", "dropped-dense-state",
         "wrong-pair-projector", "perturbed-product-weight",
-        "perturbed-trace-state", "transpose-on-antifundamental"])
+        "nonzero-off-diagonal-gram", "transition-with-foreign-ket",
+        "transition-with-foreign-bra", "perturbed-trace-state",
+        "perturbed-bent-state", "transpose-on-antifundamental"])
 def test_wrong_input_fails_the_check(monkeypatch, check, name, fake):
     monkeypatch.setattr(checks, name, fake(getattr(checks, name)))
     assert check() is False
@@ -69,3 +103,18 @@ def test_wrong_input_fails_the_check(monkeypatch, check, name, fake):
 def test_unknown_check_name_is_out_of_range():
     with pytest.raises(OutOfRange, match="nonesuch"):
         checks.run_checks(["loop-factor", "nonesuch"])
+
+
+def test_checks_pass_in_reverse_order_in_a_fresh_interpreter():
+    # nothing is warmed first, so no check can lean on a cache or a ket's
+    # Gram form that a check earlier in the table filled
+    script = """
+from birdtracks import checks
+failed = [name for name, fn in reversed(checks.CHECKS) if fn() is not True]
+assert not failed, failed
+"""
+    src = os.path.dirname(os.path.dirname(checks.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -15,6 +15,7 @@ from birdtracks.diagrams import (
     ketbra,
     operator_signature,
     tensor,
+    zero,
 )
 from birdtracks.epsilon import (
     TransientParams,
@@ -33,6 +34,7 @@ from birdtracks.errors import (
     BadBlockSize,
     BirdtrackError,
     DimensionMismatch,
+    NotProportional,
     OutOfRange,
 )
 from birdtracks.numeric import ExactTensor, evaluate
@@ -274,6 +276,27 @@ def test_lr_pair_projector_adjoint_matches_fierz_form():
     for n in (2, 3, 4):
         assert lr_pair_projector("adjoint", n) == evaluate(
             adjoint_pair_diagram(), n)
+
+
+def test_lr_pair_projector_entries_are_fractions():
+    # the translation runs on integers; the projector is exact rationals
+    for n in (2, 3, 4):
+        for kind in ("singlet", "adjoint"):
+            entries = lr_pair_projector(kind, n).entries.values()
+            assert entries
+            assert all(type(v) is Fraction for v in entries)
+
+
+@pytest.mark.parametrize("seed, message", [
+    (lambda levels, n: zero(operator_signature(n, 0)), "squares to zero"),
+    (lambda levels, n: antisymmetrizer(levels, n)
+     + identity(operator_signature(n, 0)), "does not square to itself"),
+], ids=["zero-seed", "non-idempotent-seed"])
+def test_lr_pair_projector_rejects_a_bad_seed(monkeypatch, seed, message):
+    monkeypatch.setattr(epsilon, "antisymmetrizer", seed)
+    for n in (2, 3):
+        with pytest.raises(NotProportional, match=message):
+            lr_pair_projector("singlet", n)
 
 
 def test_lr_pair_projector_unknown_kind():
