@@ -4,10 +4,11 @@ Output is deterministic: the same configuration and seed produce
 byte-identical output, and JSON payloads carry a "schema": "1" marker so
 they can be re-parsed and compared as values.  JSON output has the bytes
 json.dumps gives with indent=2.  It is streamed to stdout or --output in
-pieces: a container the payload shares, such as a ket that many table
-operators hold, is rendered to text once per depth, and the containers
-around it are written item by item, so such a payload's text never
-exists whole; a payload that shares nothing is written in one piece.
+pieces: a container the payload shares, such as a ket or a weight that
+many table operators hold, is rendered to text once per depth, and the
+containers around it are written item by item, so such a payload's text
+never exists whole; a payload that shares nothing is written in one
+piece.
 Configuration problems, an --output path that cannot be written among
 them, exit with code 2 and a machine-readable JSON error on stderr; failed
 verification exits with code 1 the same way; success exits with 0.  A
@@ -23,6 +24,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .checks import CHECKS, run_checks
 from .coefficients import RadicalCoefficient, RationalFunction
@@ -58,7 +60,18 @@ class _Parser(argparse.ArgumentParser):
 
 # -- rendering helpers --------------------------------------------------------
 
-_scalar_json = json.JSONEncoder().encode
+_encode = json.JSONEncoder().encode
+
+
+def _scalar_json(value) -> str:
+    """The text json.dumps gives for a scalar; str and int, by far the
+    most common, go straight to the encoder's own C routines."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return int.__repr__(value)
+    return _encode(value)
 
 
 _CONTAINERS = (dict, list, tuple)
@@ -98,12 +111,12 @@ def _write_json(value, write) -> None:
     """Pass write the text json.dumps gives for value with indent=2, in
     pieces; keys must be str.
 
-    A container that occurs more than once in value, such as a ket shared
-    by many operators, is rendered to text once per depth and memoized by
-    (id, depth); the payload keeps every container alive, so no id is
-    reused meanwhile.  A container that holds one is written item by item,
-    and every other container is rendered to text in one go, so a payload
-    that shares nothing is written whole.
+    A container that occurs more than once in value, such as a ket or a
+    weight shared by many operators, is rendered to text once per depth
+    and memoized by (id, depth); the payload keeps every container alive,
+    so no id is reused meanwhile.  A container that holds one is written
+    item by item, and every other container is rendered to text in one
+    go, so a payload that shares nothing is written whole.
     """
     shared, holders = _sharing(value)
     memo = {}

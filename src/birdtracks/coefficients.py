@@ -441,9 +441,15 @@ def _canonical_sqrt(p: Poly) -> tuple[RationalFunction, RadicandKey]:
 
 
 class RadicalCoefficient:
-    """A finite sum of rational-function multiples of canonical square roots."""
+    """A finite sum of rational-function multiples of canonical square roots.
 
-    __slots__ = ("terms",)
+    A coefficient keeps the list of its first to_json in _json, a slot
+    that only to_json sets, so arithmetic never touches it.  Equality and
+    hashing ignore it; to_json returns the same list on every call, so
+    callers share it and must not modify it.
+    """
+
+    __slots__ = ("terms", "_json")
 
     def __init__(self, terms: Mapping[RadicandKey, RationalFunction] | None = None):
         cleaned = {}
@@ -620,9 +626,14 @@ class RadicalCoefficient:
         return " + ".join(parts)
 
     def to_json(self) -> list:
-        items = sorted(self.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
-        return [{"radicand": list(key), "multiplier": mult.to_json()}
-                for key, mult in items]
+        rows = getattr(self, "_json", None)
+        if rows is None:
+            items = sorted(self.terms.items(),
+                           key=lambda kv: (len(kv[0]), kv[0]))
+            rows = [{"radicand": list(key), "multiplier": mult.to_json()}
+                    for key, mult in items]
+            object.__setattr__(self, "_json", rows)
+        return rows
 
     @classmethod
     def from_json(cls, data) -> "RadicalCoefficient":

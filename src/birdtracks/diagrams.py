@@ -21,7 +21,6 @@ yields (13).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
@@ -54,19 +53,65 @@ OPERATOR = "operator"
 KET = "ket"
 
 
-@dataclass(frozen=True)
-class Signature:
+class _Record:
+    """An immutable record whose fields are its class's __slots__.
+
+    __init__ sets each field once through object.__setattr__; afterwards
+    assignment raises AttributeError.  Records of one class compare and
+    hash by their fields, and print as the class called with them, except
+    the fields named in _hidden.
+    """
+
+    __slots__ = ()
+    _hidden = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}"
+                          for name in self.__slots__
+                          if name not in self._hidden)
+        return f"{type(self).__qualname__}({shown})"
+
+
+class Signature(_Record):
     """Orientation string ('q' fundamental / 'b' antifundamental) plus role."""
 
-    orientations: str
-    role: str = OPERATOR
+    __slots__ = ("orientations", "role")
 
-    def __post_init__(self):
-        if self.role not in (OPERATOR, KET):
-            raise OutOfRange(f"unknown role {self.role!r}")
-        if (not isinstance(self.orientations, str)
-                or set(self.orientations) - {FUND, ANTI}):
-            raise OutOfRange(f"bad orientation string {self.orientations!r}")
+    def __init__(self, orientations: str, role: str = OPERATOR):
+        if role not in (OPERATOR, KET):
+            raise OutOfRange(f"unknown role {role!r}")
+        if (not isinstance(orientations, str)
+                or set(orientations) - {FUND, ANTI}):
+            raise OutOfRange(f"bad orientation string {orientations!r}")
+        object.__setattr__(self, "orientations", orientations)
+        object.__setattr__(self, "role", role)
+
+    # every diagram compares and hashes its signature: spelled out for speed
+    def __eq__(self, other):
+        if other.__class__ is not Signature:
+            return NotImplemented
+        return (self.orientations == other.orientations
+                and self.role == other.role)
+
+    def __hash__(self):
+        return hash((self.orientations, self.role))
 
     @property
     def n_slots(self) -> int:
@@ -102,8 +147,7 @@ def ket_signature(m: int, n: int) -> Signature:
     return Signature(operator_signature(m, n).orientations, KET)
 
 
-@dataclass(frozen=True)
-class PrimitiveDiagram:
+class PrimitiveDiagram(_Record):
     """One delta-line matching, encoded by a signature and a permutation.
 
     perm is 0-based.  For operators, perm maps each level to its image in
@@ -111,16 +155,26 @@ class PrimitiveDiagram:
     rank of each antifundamental leg to the rank of its fundamental partner.
     """
 
-    sig: Signature
-    perm: tuple[int, ...]
+    __slots__ = ("sig", "perm")
 
-    def __post_init__(self):
-        size = self.sig.n_slots if self.sig.is_operator() else self.sig.n_anti
-        if not self.sig.is_operator() and self.sig.n_fund != self.sig.n_anti:
+    def __init__(self, sig: Signature, perm: tuple[int, ...]):
+        size = sig.n_slots if sig.is_operator() else sig.n_anti
+        if not sig.is_operator() and sig.n_fund != sig.n_anti:
             raise SignatureMismatch(
-                f"ket diagram needs equal leg counts, got {self.sig.orientations!r}")
-        if sorted(self.perm) != list(range(size)):
-            raise OutOfRange(f"{self.perm} is not a permutation of 0..{size - 1}")
+                f"ket diagram needs equal leg counts, got {sig.orientations!r}")
+        if sorted(perm) != list(range(size)):
+            raise OutOfRange(f"{perm} is not a permutation of 0..{size - 1}")
+        object.__setattr__(self, "sig", sig)
+        object.__setattr__(self, "perm", perm)
+
+    # diagrams key every element's terms: spelled out for speed
+    def __eq__(self, other):
+        if other.__class__ is not PrimitiveDiagram:
+            return NotImplemented
+        return self.perm == other.perm and self.sig == other.sig
+
+    def __hash__(self):
+        return hash((self.sig, self.perm))
 
     def matching(self) -> Mapping[int, int]:
         """The physical endpoint pairing, as a symmetric read-only mapping.

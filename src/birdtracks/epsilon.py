@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .coefficients import rf
 from .diagrams import (
+    _Record,
     _perm_sign,
     compose,
     identity,
@@ -47,8 +47,7 @@ from .symmetrizers import (
 )
 
 
-@dataclass(frozen=True)
-class TransientParams:
+class TransientParams(_Record):
     """One way to absorb the leg imbalance of Mixed(m, n) into eps blocks.
 
     a blocks trade N fundamental legs each, b blocks do the same on the
@@ -57,29 +56,22 @@ class TransientParams:
     alpha = (a + b)(N - 1) + k.
     """
 
-    a: int
-    b: int
-    k: int
-    alpha: int
+    __slots__ = ("a", "b", "k", "alpha")
 
-    def __post_init__(self):
-        for name in _PARAMS:
-            object.__setattr__(self, name,
-                               integer(getattr(self, name), name, 0))
+    def __init__(self, a: int, b: int, k: int, alpha: int):
+        for name, value in zip(self.__slots__, (a, b, k, alpha)):
+            object.__setattr__(self, name, integer(value, name, 0))
         if self.a + self.b < 1:
             raise OutOfRange(f"not a transient layout: {self}")
 
     def to_json(self) -> dict:
-        return {name: getattr(self, name) for name in _PARAMS}
+        return {name: getattr(self, name) for name in self.__slots__}
 
     @classmethod
     def from_json(cls, data: dict) -> "TransientParams":
         if not isinstance(data, dict):
             raise OutOfRange(f"transient parameters not an object: {data!r}")
-        return cls(*(data.get(name) for name in _PARAMS))
-
-
-_PARAMS = ("a", "b", "k", "alpha")
+        return cls(*(data.get(name) for name in cls.__slots__))
 
 
 def pieri_add_antifundamental(shape, n_param: int) -> list[YoungShape]:

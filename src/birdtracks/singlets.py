@@ -13,7 +13,6 @@ dimensionally null.
 """
 
 import math
-from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 from .coefficients import RadicalCoefficient, _json_list, _p_eval, sqrt
@@ -21,6 +20,7 @@ from .diagrams import (
     OPERATOR,
     InvariantElement,
     Signature,
+    _Record,
     _gram_form,
     format_cycles,
     inner_product,
@@ -40,22 +40,28 @@ PROJECTOR = "projector"
 TRANSITION = "transition"
 
 
-@dataclass(frozen=True)
-class SingletOperator:
+class SingletOperator(_Record):
     """A normalization times |ket><bra| between singlet states.
 
     The bra is stored as a ket and daggered on use.  Projectors have
     ket == bra and normalization 1/<ket|ket>, making them idempotent;
     transitions carry the geometric mean of the two projector
     normalizations.  A normalization of zero marks the zero operator,
-    which stands in for states that vanish identically.
+    which stands in for states that vanish identically.  The repr leaves
+    out the ket and the bra.
     """
 
-    ket: InvariantElement = field(repr=False)
-    bra: InvariantElement = field(repr=False)
-    normalization: RadicalCoefficient
-    kind: str
-    labels: tuple = ()
+    __slots__ = ("ket", "bra", "normalization", "kind", "labels")
+    _hidden = ("ket", "bra")
+
+    def __init__(self, ket: InvariantElement, bra: InvariantElement,
+                 normalization: RadicalCoefficient, kind: str,
+                 labels: tuple = ()):
+        object.__setattr__(self, "ket", ket)
+        object.__setattr__(self, "bra", bra)
+        object.__setattr__(self, "normalization", normalization)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "labels", labels)
 
     def is_zero(self) -> bool:
         return self.normalization.is_zero()
@@ -109,17 +115,6 @@ def singlet_projector(operator: InvariantElement,
     return _ket_projector(operator.bend(), labels)
 
 
-def _transition(to: SingletOperator, source: SingletOperator,
-                labels: tuple) -> SingletOperator:
-    """The transition from source's ket to to's ket.
-
-    Its weight is the geometric mean of the two projector normalizations.
-    """
-    weight = sqrt((to.normalization * source.normalization).rational_part())
-    return SingletOperator(ket=to.ket, bra=source.ket, normalization=weight,
-                           kind=TRANSITION, labels=labels)
-
-
 def rank_one_product(a: SingletOperator, b: SingletOperator) -> InvariantElement:
     """Compose two rank-one operators through one ket inner product.
 
@@ -167,14 +162,35 @@ def singlet_table(k: int = 3, source: str = "builtin"):
     """The full table of projectors and transitions over one basis.
 
     Entry [i][j] is the projector for i == j and the transition operator
-    from state j to state i otherwise.  T_ij and T_ji share one weight.
+    from state j to state i otherwise.  A transition's weight is the
+    geometric mean sqrt(beta_i beta_j) of the two projector
+    normalizations, taken once for each distinct pair of normalization
+    values; transitions whose weights are equal, T_ij and T_ji among
+    them, hold the same weight object.
     """
     basis = singlet_basis(k, source)
+    # states numbered by their normalization value, equal values alike
+    values = {}
+    value_of = [values.setdefault(op.normalization, len(values))
+                for op in basis]
+    weights, roots = {}, {}
     table = [[None] * len(basis) for _ in basis]
     for i, row_op in enumerate(basis):
-        table[i][i] = replace(row_op, labels=(i, i))
+        table[i][i] = SingletOperator(row_op.ket, row_op.bra,
+                                      row_op.normalization, row_op.kind,
+                                      (i, i))
         for j in range(i + 1, len(basis)):
-            table[i][j] = _transition(row_op, basis[j], (i, j))
+            pair = (min(value_of[i], value_of[j]),
+                    max(value_of[i], value_of[j]))
+            weight = weights.get(pair)
+            if weight is None:
+                square = (row_op.normalization
+                          * basis[j].normalization).rational_part()
+                if square not in roots:
+                    roots[square] = sqrt(square)
+                weight = weights[pair] = roots[square]
+            table[i][j] = SingletOperator(row_op.ket, basis[j].ket, weight,
+                                          TRANSITION, (i, j))
             table[j][i] = table[i][j].dagger()
     return table
 

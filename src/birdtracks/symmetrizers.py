@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -22,6 +21,7 @@ from .diagrams import (
     InvariantElement,
     PrimitiveDiagram,
     Signature,
+    _Record,
     _perm_sign,
     compose,
     identity,
@@ -31,17 +31,16 @@ from .diagrams import (
 from .errors import OutOfRange, UnsupportedK, integer
 
 
-@dataclass(frozen=True)
-class YoungShape:
+class YoungShape(_Record):
     """A partition: weakly decreasing positive row lengths."""
 
-    rows: tuple[int, ...]
+    __slots__ = ("rows",)
 
-    def __post_init__(self):
-        rows = tuple(integer(r, "row length", 1) for r in self.rows)
-        if not rows or any(a < b for a, b in zip(rows, rows[1:])):
-            raise OutOfRange(f"shape {self.rows} is empty or a row grows")
-        object.__setattr__(self, "rows", rows)
+    def __init__(self, rows: tuple[int, ...]):
+        lengths = tuple(integer(r, "row length", 1) for r in rows)
+        if not lengths or any(a < b for a, b in zip(lengths, lengths[1:])):
+            raise OutOfRange(f"shape {rows} is empty or a row grows")
+        object.__setattr__(self, "rows", lengths)
 
     @classmethod
     def from_text(cls, text: str) -> "YoungShape":

@@ -29,6 +29,7 @@ from .coefficients import (
 from .diagrams import (
     InvariantElement,
     PrimitiveDiagram,
+    _Record,
     _collect,
     _cycle_entries,
     _cycles,
@@ -41,7 +42,7 @@ from .diagrams import (
 from .errors import InvalidDecomposition, integer
 
 
-class CycleDecomposition:
+class CycleDecomposition(_Record):
     """A permutation of 1..k in canonical disjoint cycle form.
 
     Every element appears exactly once, fixed points included.  Each cycle
@@ -62,9 +63,6 @@ class CycleDecomposition:
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "cycles",
                            tuple(tuple(x + 1 for x in c) for c in canon))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CycleDecomposition is immutable")
 
     @classmethod
     def from_text(cls, text: str, k: int | None = None) -> "CycleDecomposition":
@@ -99,14 +97,6 @@ class CycleDecomposition:
 
     def is_derangement(self) -> bool:
         return all(len(c) > 1 for c in self.cycles)
-
-    def __eq__(self, other):
-        if not isinstance(other, CycleDecomposition):
-            return NotImplemented
-        return self.k == other.k and self.cycles == other.cycles
-
-    def __hash__(self):
-        return hash((self.k, self.cycles))
 
     def __repr__(self):
         return f"CycleDecomposition({self.to_text()!r}, k={self.k})"

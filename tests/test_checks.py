@@ -3,13 +3,13 @@
 import os
 import subprocess
 import sys
-from dataclasses import replace
 
 import pytest
 
 from birdtracks import checks
 from birdtracks.coefficients import rf
 from birdtracks.errors import OutOfRange
+from birdtracks.singlets import SingletOperator
 
 
 @pytest.mark.parametrize("check, source", [
@@ -27,7 +27,8 @@ def test_short_basis_fails_the_check(monkeypatch, check, source):
 def _perturbed_weight(real):
     def product(a, b):
         weight = a.normalization * rf([1, 1], [0, 1])
-        return real(replace(a, normalization=weight), b)
+        perturbed = SingletOperator(a.ket, a.bra, weight, a.kind, a.labels)
+        return real(perturbed, b)
     return product
 
 
@@ -59,7 +60,11 @@ def _foreign_state(side):
     def fake(real):
         def table(k, source):
             rows = [row[:] for row in real(k, source)]
-            rows[1][2] = replace(rows[1][2], **{side: rows[3][3].ket})
+            op = rows[1][2]
+            fields = {"ket": op.ket, "bra": op.bra, side: rows[3][3].ket}
+            rows[1][2] = SingletOperator(normalization=op.normalization,
+                                         kind=op.kind, labels=op.labels,
+                                         **fields)
             rows[2][1] = rows[1][2].dagger()
             return rows
         return table

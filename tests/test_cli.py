@@ -245,6 +245,24 @@ assert "numpy" in sys.modules, "correlator"
     assert proc.returncode == 0, proc.stderr
 
 
+def test_package_starts_without_dataclasses():
+    # dataclasses brings inspect, ast, dis and tokenize to every start;
+    # -S keeps the site packages' own imports out of the count
+    script = """
+import sys
+import birdtracks.cli
+argv = "singlets --k 2 --source trace --format json".split()
+assert birdtracks.cli.main(argv) == 0
+for name in ("dataclasses", "inspect"):
+    assert name not in sys.modules, name
+"""
+    src = os.path.dirname(os.path.dirname(birdtracks.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-S", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_lr_rejects_empty_product(capsys):
     code, _, err = run(capsys, "lr", "--m", "0", "--n", "0", "--N", "3")
     assert code == 2
@@ -445,6 +463,12 @@ def test_render_json_matches_indented_dumps(value):
     pieces = []
     _write_json(value, pieces.append)
     assert "".join(pieces) == json.dumps(value, indent=2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json_scalars | st.integers())
+def test_scalar_encoder_matches_dumps(value):
+    assert cli._scalar_json(value) == json.dumps(value)
 
 
 def test_json_writer_streams_the_k4_table():

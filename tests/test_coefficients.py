@@ -186,6 +186,17 @@ def test_json_round_trip():
     assert RationalFunction.from_json(r.to_json()) == r
 
 
+def test_json_list_is_built_once_and_ignored_by_equality():
+    c = (sqrt(rf([-1, 0, 1])) * rf([1], [0, 1])
+         + RadicalCoefficient.from_rational(rf([5, 2])))
+    fresh = RadicalCoefficient(c.terms)
+    first = c.to_json()
+    assert c.to_json() is first
+    assert RadicalCoefficient.from_json(first) == c
+    assert c == fresh and hash(c) == hash(fresh)
+    assert fresh.to_json() == first
+
+
 @pytest.mark.parametrize("radicand", [[0, 0, 1], [4], [], [0], [1, 0]])
 def test_json_refuses_non_canonical_radicands(radicand):
     # sqrt(N^2) and sqrt(4) would compare unequal to N and 2, and an empty

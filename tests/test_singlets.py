@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from birdtracks import singlets
-from birdtracks.coefficients import RadicalCoefficient, rf
+from birdtracks.coefficients import RadicalCoefficient, rf, sqrt
 from birdtracks.diagrams import (
     compose,
     identity,
@@ -94,6 +94,28 @@ def test_transition_normalization_geometric_mean():
     assert t.normalization.eval_float(4) == pytest.approx(
         (6 / (6 * 5 * 4) * 6 / (2 * 3 * 4)) ** 0.5)
     assert table[1][2].normalization == CHI2
+
+
+@pytest.mark.parametrize("k, source", [
+    (2, "trace"), (3, "trace"), (4, "trace"), (3, "builtin"),
+    (3, "trace+orthogonalize"),
+])
+def test_transitions_share_one_weight_per_distinct_value(k, source):
+    betas = [1 / inner_product(op.ket, op.ket)
+             for op in singlet_basis(k, source)]
+    table = singlet_table(k, source)
+    weights = {}
+    for i, row in enumerate(table):
+        assert row[i].normalization == betas[i]
+        for j, t in enumerate(row):
+            if j == i:
+                continue
+            square = (betas[i] * betas[j]).rational_part()
+            assert t.normalization == sqrt(square)
+            assert table[j][i].normalization is t.normalization
+            weights[id(t.normalization)] = t.normalization
+    # one object per distinct weight value
+    assert len(weights) == len(set(weights.values()))
 
 
 def test_rank_one_product_matches_expansion():
