@@ -35,6 +35,7 @@ from .diagrams import (
     _cycles,
     _one_line,
     identity,
+    inner_product,
     ket_signature,
     operator_signature,
     permutation_element,
@@ -239,13 +240,51 @@ def derangement_block(s: int):
     and each fixed point is a delta pair that closes one loop.  States
     with different moved sets are orthogonal, since a delta pair glued to
     a moved pair traces a generator, and Tr t^a = 0.
-    """
-    from .singlets import gram_matrix
 
-    states = tuple(derangement_states(s))
-    gram = tuple(tuple(entry.rational_part() for entry in row)
-                 for row in gram_matrix(states))
-    return states, gram
+    Relabelling the s pairs by a permutation pi is unitary and maps
+    T_rho to T_{pi rho pi^-1}, so <T_rho|T_sigma> = <T_rho0|T_{pi^-1
+    sigma pi}> whenever pi rho0 pi^-1 = rho.  D_s is therefore built from
+    one row per cycle type, that of its first derangement rho0: an entry
+    is constant on the orbits of rho0's centralizer C acting by
+    conjugation, so each sigma is keyed by the least c sigma c^-1 over c
+    in C and one inner product is taken per key.  Every other row rho of
+    that type is read off it through the pi that maps the cycles of rho0
+    onto those of rho, equal lengths together.
+    """
+    s = integer(s, "k", 2)
+    rhos = [rho for rho in all_decompositions(s) if rho.is_derangement()]
+    states = tuple(trace_basis_state(rho) for rho in rhos)
+    perms = [rho.to_permutation() for rho in rhos]
+    firsts = {}  # cycle type -> (cycles of rho0, row of rho0 by sigma)
+    gram = []
+    for rho, perm, state in zip(rhos, perms, states):
+        kind = rho.cycle_type()
+        if kind not in firsts:
+            centralizer = [c for c in itertools.permutations(range(s))
+                           if _conjugate(c, perm) == perm]
+            values, row = {}, {}
+            for sigma, other in zip(perms, states):
+                key = min(_conjugate(c, sigma) for c in centralizer)
+                if key not in values:
+                    values[key] = inner_product(state, other).rational_part()
+                row[sigma] = values[key]
+            firsts[kind] = (rho.cycles, row)
+        cycles, row = firsts[kind]
+        back = [0] * s  # pi^-1, the cycles of rho onto those of rho0
+        for ours, theirs in zip(sorted(rho.cycles, key=len),
+                                sorted(cycles, key=len)):
+            for x, y in zip(ours, theirs):
+                back[x - 1] = y - 1
+        gram.append(tuple(row[_conjugate(back, sigma)] for sigma in perms))
+    return states, tuple(gram)
+
+
+def _conjugate(c, sigma) -> tuple[int, ...]:
+    """c sigma c^-1 for 0-based one-line permutations."""
+    out = [0] * len(c)
+    for j, x in enumerate(sigma):
+        out[c[j]] = c[x]
+    return tuple(out)
 
 
 def normalized_trace_basis(k: int):

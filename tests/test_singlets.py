@@ -259,6 +259,13 @@ def test_cached_singlet_counts_match_hook_lengths():
         assert singlet_count(k, n, source) == want, (k, n, source)
 
 
+def test_trace_counts_at_k5_match_hook_lengths():
+    want = [1, 42, 103, 119, 120, 120, 120, 120]
+    assert [_hook_length_count(5, n) for n in range(1, 9)] == want
+    for n in range(1, 9):
+        assert singlet_count(5, n, "trace") == want[n - 1], n
+
+
 def test_pole_check_precedes_and_survives_the_cached_gram():
     singlets._orthogonal_norms.cache_clear()
     with pytest.raises(PoleAtN, match="state 16 .*N=1"):

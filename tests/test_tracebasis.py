@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -393,3 +394,63 @@ def test_trace_singlet_count_is_the_rank_of_the_full_gram(k):
         want = exact_rank([[entry.eval_rational(n) for entry in row]
                            for row in gram])
         assert singlet_count(k, n, "trace") == want, (k, n)
+
+
+def _relabel(pi, perm):
+    # pi perm pi^-1: the matching perm with every pair p renamed pi(p)
+    out = [None] * len(perm)
+    for j, x in enumerate(perm):
+        out[pi[j]] = pi[x]
+    return tuple(out)
+
+
+@pytest.mark.parametrize("s", [2, 3, 4, 5])
+def test_derangement_block_matches_the_pairwise_gram(s):
+    # the reference route: an inner product for every pair of states
+    states = tuple(derangement_states(s))
+    want = tuple(tuple(entry.rational_part() for entry in row)
+                 for row in gram_matrix(states))
+    got_states, got = derangement_block(s)
+    assert got_states == states
+    assert len(got) == len(want)
+    for i, (got_row, want_row) in enumerate(zip(got, want)):
+        assert len(got_row) == len(want_row)
+        for j, (a, b) in enumerate(zip(got_row, want_row)):
+            assert (a.num, a.den) == (b.num, b.den), (s, i, j)
+
+
+@pytest.mark.parametrize("s", [3, 4, 5])
+def test_trace_states_relabel_under_conjugation(s):
+    def state(perm):
+        return trace_basis_state(CycleDecomposition.from_permutation(perm))
+
+    rng = random.Random(2500 + s)
+    perms = list(itertools.permutations(range(s)))
+    derangements = [rho.to_permutation() for rho in all_decompositions(s)
+                    if rho.is_derangement()]
+    for _ in range(3):
+        pi = rng.choice(perms)
+        for rho in rng.sample(derangements, min(4, len(derangements))):
+            relabelled = {_relabel(pi, d.perm): c
+                          for d, c in state(rho).terms.items()}
+            moved = state(_relabel(pi, rho))
+            assert {d.perm: c for d, c in moved.terms.items()} == relabelled
+        for _ in range(3):
+            rho, sigma = rng.choice(derangements), rng.choice(derangements)
+            assert inner_product(state(rho), state(sigma)) == inner_product(
+                state(_relabel(pi, rho)), state(_relabel(pi, sigma))), \
+                (pi, rho, sigma)
+
+
+@pytest.mark.parametrize("s, most", [(2, 1), (3, 2), (4, 9), (5, 21)])
+def test_derangement_block_takes_one_row_per_cycle_type(monkeypatch, s, most):
+    # all pairs would take 1, 3, 45 and 990 inner products
+    calls = []
+
+    def counting(a, b):
+        calls.append(None)
+        return inner_product(a, b)
+
+    monkeypatch.setattr(tracebasis, "inner_product", counting)
+    tracebasis.derangement_block.__wrapped__(s)
+    assert 0 < len(calls) <= most
