@@ -157,15 +157,13 @@ class PrimitiveDiagram(_Record):
 
     __slots__ = ("sig", "perm")
 
-    def __init__(self, sig: Signature, perm: tuple[int, ...]):
+    def __init__(self, sig: Signature, perm: Iterable[int]):
         size = sig.n_slots if sig.is_operator() else sig.n_anti
         if not sig.is_operator() and sig.n_fund != sig.n_anti:
             raise SignatureMismatch(
                 f"ket diagram needs equal leg counts, got {sig.orientations!r}")
-        if sorted(perm) != list(range(size)):
-            raise OutOfRange(f"{perm} is not a permutation of 0..{size - 1}")
         object.__setattr__(self, "sig", sig)
-        object.__setattr__(self, "perm", perm)
+        object.__setattr__(self, "perm", _permutation(perm, size))
 
     # diagrams key every element's terms: spelled out for speed
     def __eq__(self, other):
@@ -235,6 +233,18 @@ def _matching_to_op_perm(orients: str, pairs: Mapping[int, int]) -> tuple[int, .
     return tuple(perm)
 
 
+def _permutation(perm, size: int, error=OutOfRange) -> tuple[int, ...]:
+    """perm as a tuple; error unless it is a one-line perm of 0..size-1."""
+    perm = tuple(perm)
+    if set(map(type, perm)) <= {int} and sorted(perm) == list(range(size)):
+        return perm  # plain ints, which integer() would pass unchanged
+    perm = tuple(integer(x, "permutation entry", 0, size - 1, error)
+                 for x in perm)
+    if sorted(perm) != list(range(size)):
+        raise error(f"{perm} is not a permutation of 0..{size - 1}")
+    return perm
+
+
 def _cycles(perm: Sequence[int]) -> list[list[int]]:
     """Disjoint cycles of a 0-based permutation, fixed points included.
 
@@ -265,6 +275,14 @@ def _perm_inverse(perm: tuple[int, ...]) -> tuple[int, ...]:
     for a, b in enumerate(perm):
         inv[b] = a
     return tuple(inv)
+
+
+def _conjugate(c: Sequence[int], sigma: Sequence[int]) -> tuple[int, ...]:
+    """c sigma c^-1 for 0-based one-line permutations."""
+    out = [0] * len(c)
+    for j, x in enumerate(sigma):
+        out[c[j]] = c[x]
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -306,8 +324,7 @@ class InvariantElement:
     @classmethod
     def from_perm(cls, sig: Signature, perm: Iterable[int],
                   coeff=1) -> "InvariantElement":
-        diag = PrimitiveDiagram(sig, tuple(perm))
-        return cls(sig, {diag: _as_radical(coeff)})
+        return cls(sig, {PrimitiveDiagram(sig, perm): _as_radical(coeff)})
 
     def is_zero(self) -> bool:
         return not self.terms

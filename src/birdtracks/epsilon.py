@@ -362,7 +362,7 @@ def baryon_equivalence_report(n_param: int = 3) -> dict[str, bool]:
     # SL(3, C), so an integer g in SL(3, Z) that breaks
     # three / 6 == balanced / <s|s> breaks it on SU(3) too.  Tested
     # exactly, cleared of its denominators.
-    eps = {p: _perm_sign(p) for p in itertools.permutations(range(3))}
+    eps = {p: int(v) for p, v in epsilon_tensor(3).entries.items()}
     _, s = integer_entries(state, 3)
     norm = sum(v * v for v in s.values())
     ok = True

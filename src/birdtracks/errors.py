@@ -1,11 +1,11 @@
 """Exception types shared across the package, and its one integer check.
 
 Every integer argument of the library (a rank N, a size k, m or n, a
-seed, a pair, slot or level label, a cycle entry, a shape row, a tensor
-axis, an exponent) is read by integer(): it takes anything
-operator.index accepts, so numpy integers work, and raises OutOfRange,
-or the error type the caller names, for anything else and for values
-outside the bounds.
+seed, a pair, slot or level label, a cycle entry, a one-line permutation
+entry, a shape row, a tensor axis, an exponent) is read by integer(): it
+takes anything operator.index accepts, so numpy integers work, and raises
+OutOfRange, or the error type the caller names, for anything else and
+for values outside the bounds.
 """
 
 from operator import index

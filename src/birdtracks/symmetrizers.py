@@ -61,9 +61,6 @@ class YoungShape(_Record):
                      for j in range(self.rows[0]))
         return YoungShape(cols)
 
-    def column_lengths(self) -> tuple[int, ...]:
-        return self.conjugate().rows
-
 
 def _shape_rows(shape) -> tuple[int, ...]:
     """The row lengths of a shape given as a YoungShape, as text like
@@ -114,7 +111,7 @@ def irrep_dimension(shape) -> RationalFunction:
     shape is read by _shape_rows; the empty shape has dimension 1.
     """
     rows = _shape_rows(shape)
-    cols = YoungShape(rows).column_lengths() if rows else ()
+    cols = YoungShape(rows).conjugate().rows if rows else ()
     num = rf([1])
     hooks = 1
     for i, row_len in enumerate(rows):

@@ -31,9 +31,11 @@ from .diagrams import (
     PrimitiveDiagram,
     _Record,
     _collect,
+    _conjugate,
     _cycle_entries,
     _cycles,
     _one_line,
+    _permutation,
     identity,
     inner_product,
     ket_signature,
@@ -80,8 +82,7 @@ class CycleDecomposition(_Record):
     def from_permutation(cls, perm) -> "CycleDecomposition":
         """Build from a 0-based one-line permutation tuple."""
         perm = tuple(perm)
-        if sorted(perm) != list(range(len(perm))):
-            raise InvalidDecomposition(f"{perm!r} is not a permutation")
+        perm = _permutation(perm, len(perm), InvalidDecomposition)
         return cls([[x + 1 for x in c] for c in _cycles(perm)], len(perm))
 
     def to_permutation(self) -> tuple[int, ...]:
@@ -91,13 +92,6 @@ class CycleDecomposition(_Record):
     def to_text(self) -> str:
         return "".join("(" + " ".join(str(x) for x in c) + ")"
                        for c in self.cycles)
-
-    def cycle_type(self) -> tuple[int, ...]:
-        """Cycle lengths, longest first."""
-        return tuple(sorted((len(c) for c in self.cycles), reverse=True))
-
-    def is_derangement(self) -> bool:
-        return all(len(c) > 1 for c in self.cycles)
 
     def __repr__(self):
         return f"CycleDecomposition({self.to_text()!r}, k={self.k})"
@@ -147,14 +141,15 @@ def trace_basis_state(rho) -> InvariantElement:
         rho = CycleDecomposition.from_text(rho)
     if not isinstance(rho, CycleDecomposition):
         raise InvalidDecomposition(f"cannot interpret {rho!r}")
-    k = rho.k
+    return _trace_state(rho.to_permutation())
+
+
+def _trace_state(perm: tuple[int, ...]) -> InvariantElement:
+    """trace_basis_state of a 0-based one-line permutation."""
+    k = len(perm)
     sig = ket_signature(k, k)
-    per_cycle = []
-    for cycle in rho.cycles:
-        if len(cycle) == 1:
-            per_cycle.append([({cycle[0]: cycle[0]}, _RF_ONE)])
-        else:
-            per_cycle.append(_cycle_terms(cycle))
+    per_cycle = [[({c[0]: c[0]}, _RF_ONE)] if len(c) == 1 else _cycle_terms(c)
+                 for c in _cycles(perm)]
     out = []
     for combo in itertools.product(*per_cycle):
         links = {}
@@ -162,8 +157,7 @@ def trace_basis_state(rho) -> InvariantElement:
         for part, w in combo:
             links.update(part)
             weight = weight * w
-        perm = tuple(links[p] - 1 for p in range(1, k + 1))
-        out.append((PrimitiveDiagram(sig, perm),
+        out.append((PrimitiveDiagram(sig, tuple(links[p] for p in range(k))),
                     RadicalCoefficient.from_rational(weight)))
     return _collect(sig, out)
 
@@ -198,17 +192,21 @@ def all_decompositions(k: int):
     The identity comes first, then fewer moved points before more, then
     coarser cycle type, then one-line lexicographic order.
     """
-    k = integer(k, "k", 1)
-    items = [CycleDecomposition.from_permutation(p)
-             for p in itertools.permutations(range(k))]
+    return [CycleDecomposition.from_permutation(p) for p in _ordered(k)]
 
-    def key(rho):
-        perm = rho.to_permutation()
-        moved = sum(1 for i, x in enumerate(perm) if x != i)
-        return (moved, rho.cycle_type(), perm)
 
-    items.sort(key=key)
-    return items
+def _ordered(k: int) -> list[tuple[int, ...]]:
+    """The 0-based one-line permutations in all_decompositions(k) order."""
+    def key(perm):
+        lengths = sorted(map(len, _cycles(perm)), reverse=True)
+        return (sum(n for n in lengths if n > 1), tuple(lengths), perm)
+
+    return sorted(itertools.permutations(range(integer(k, "k", 1))), key=key)
+
+
+def _derangements(s: int) -> list[tuple[int, ...]]:
+    """The fixed-point-free permutations among _ordered(s), in its order."""
+    return [p for p in _ordered(s) if all(x != i for i, x in enumerate(p))]
 
 
 def derangement_states(k: int):
@@ -218,14 +216,12 @@ def derangement_states(k: int):
     entirely inside a generator trace, so projecting any single pair onto
     its singlet annihilates the state.
     """
-    k = integer(k, "k", 2)
-    return [trace_basis_state(rho) for rho in all_decompositions(k)
-            if rho.is_derangement()]
+    return [_trace_state(p) for p in _derangements(integer(k, "k", 2))]
 
 
 def raw_trace_states(k: int):
     """All k! trace states in the order of all_decompositions(k)."""
-    return [trace_basis_state(rho) for rho in all_decompositions(k)]
+    return [_trace_state(p) for p in _ordered(k)]
 
 
 @lru_cache(maxsize=None)
@@ -252,13 +248,13 @@ def derangement_block(s: int):
     onto those of rho, equal lengths together.
     """
     s = integer(s, "k", 2)
-    rhos = [rho for rho in all_decompositions(s) if rho.is_derangement()]
-    states = tuple(trace_basis_state(rho) for rho in rhos)
-    perms = [rho.to_permutation() for rho in rhos]
+    perms = _derangements(s)
+    states = tuple(_trace_state(p) for p in perms)
     firsts = {}  # cycle type -> (cycles of rho0, row of rho0 by sigma)
     gram = []
-    for rho, perm, state in zip(rhos, perms, states):
-        kind = rho.cycle_type()
+    for perm, state in zip(perms, states):
+        cycles = sorted(_cycles(perm), key=len)
+        kind = tuple(map(len, cycles))
         if kind not in firsts:
             centralizer = [c for c in itertools.permutations(range(s))
                            if _conjugate(c, perm) == perm]
@@ -268,23 +264,14 @@ def derangement_block(s: int):
                 if key not in values:
                     values[key] = inner_product(state, other).rational_part()
                 row[sigma] = values[key]
-            firsts[kind] = (rho.cycles, row)
-        cycles, row = firsts[kind]
+            firsts[kind] = (cycles, row)
+        first_cycles, row = firsts[kind]
         back = [0] * s  # pi^-1, the cycles of rho onto those of rho0
-        for ours, theirs in zip(sorted(rho.cycles, key=len),
-                                sorted(cycles, key=len)):
+        for ours, theirs in zip(cycles, first_cycles):
             for x, y in zip(ours, theirs):
-                back[x - 1] = y - 1
+                back[x] = y
         gram.append(tuple(row[_conjugate(back, sigma)] for sigma in perms))
     return states, tuple(gram)
-
-
-def _conjugate(c, sigma) -> tuple[int, ...]:
-    """c sigma c^-1 for 0-based one-line permutations."""
-    out = [0] * len(c)
-    for j, x in enumerate(sigma):
-        out[c[j]] = c[x]
-    return tuple(out)
 
 
 def normalized_trace_basis(k: int):
@@ -303,14 +290,15 @@ def normalized_trace_basis(k: int):
     """
     from .singlets import _ket_projector
 
-    states = raw_trace_states(k)
+    perms = _ordered(k)
+    states = [_trace_state(p) for p in perms]
     if k == 3:
         s123, s132 = states[4], states[5]
         states[4] = s123 - s132
         states[5] = s123 + s132
     blocks = {}
-    for i, rho in enumerate(all_decompositions(k)):
-        moved = tuple(p for p, x in enumerate(rho.to_permutation()) if x != p)
+    for i, perm in enumerate(perms):
+        moved = tuple(p for p, x in enumerate(perm) if x != p)
         blocks.setdefault(moved, []).append(i)
     factors = {}
     ops = [None] * len(states)

@@ -10,6 +10,7 @@ import pytest
 from birdtracks.coefficients import rf
 from birdtracks.diagrams import (
     InvariantElement,
+    PrimitiveDiagram,
     Signature,
     identity,
     ket_signature,
@@ -113,11 +114,16 @@ INTEGER_ARGUMENTS = [
      "row length"),
     ("builtin_orthogonal_basis-k", builtin_orthogonal_basis, 1, UnsupportedK,
      "k of the built-in basis"),
+    ("PrimitiveDiagram-perm", lambda v: PrimitiveDiagram(_OP.sig, (v, 0)), 0,
+     OutOfRange, "permutation entry"),
     ("CycleDecomposition-k", lambda v: CycleDecomposition([], v), 1,
      InvalidDecomposition, "k"),
     ("CycleDecomposition.from_text-k",
      lambda v: CycleDecomposition.from_text("e", v), 1, InvalidDecomposition,
      "k"),
+    ("CycleDecomposition.from_permutation-perm",
+     lambda v: CycleDecomposition.from_permutation((v, 0)), 0,
+     InvalidDecomposition, "permutation entry"),
     ("pair_singlet_projector-k", lambda v: pair_singlet_projector(v, 1), 1,
      OutOfRange, "k"),
     ("pair_singlet_projector-pair", lambda v: pair_singlet_projector(2, v), 1,
@@ -229,6 +235,23 @@ def test_float_exponents_and_axes_are_refused():
     with pytest.raises(OutOfRange, match="axis"):
         ExactTensor((2, 2)).permuted((1.0, 0.0))
     assert rf([0, 1]) ** np.int64(-2) == rf([1], [0, 0, 1])
+
+
+def test_one_line_permutations_are_read_as_int_tuples():
+    # (1.0, 0) made a diagram, and from_permutation raised a bare
+    # TypeError for it; a list perm was stored as it came, unhashable
+    with pytest.raises(OutOfRange, match="permutation entry"):
+        PrimitiveDiagram(_OP.sig, (1.0, 0))
+    with pytest.raises(InvalidDecomposition, match="permutation entry"):
+        CycleDecomposition.from_permutation((1.0, 0))
+    with pytest.raises(OutOfRange, match="not a permutation"):
+        PrimitiveDiagram(_OP.sig, (1, 1))
+    with pytest.raises(OutOfRange, match="not a permutation"):
+        PrimitiveDiagram(_OP.sig, (0,))
+    diag = PrimitiveDiagram(_OP.sig, [np.int64(1), False])
+    assert diag.perm == (1, 0) and {type(x) for x in diag.perm} == {int}
+    assert hash(diag) == hash(PrimitiveDiagram(_OP.sig, (1, 0)))
+    assert CycleDecomposition.from_permutation([1, 0]).to_text() == "(1 2)"
 
 
 def test_irrep_dimension_reads_every_shape_spelling():

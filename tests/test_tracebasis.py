@@ -43,9 +43,10 @@ def test_cycle_decomposition_canonical_form():
     rho = CycleDecomposition.from_text("(3 1)", k=3)
     assert rho.cycles == ((1, 3), (2,))
     assert rho.to_text() == "(1 3)(2)"
-    assert rho.cycle_type() == (2, 1)
-    assert not rho.is_derangement()
-    assert CycleDecomposition.from_text("(1 2)(3 4)").is_derangement()
+    assert sorted(map(len, rho.cycles), reverse=True) == [2, 1]
+    assert not all(len(c) > 1 for c in rho.cycles)
+    assert all(len(c) > 1
+               for c in CycleDecomposition.from_text("(1 2)(3 4)").cycles)
     e = CycleDecomposition.from_text("e", k=2)
     assert e.cycles == ((1,), (2,))
 
@@ -251,6 +252,53 @@ def test_all_decompositions_order():
         all_decompositions(0)
 
 
+def _order_key(perm):
+    # fewer moved points, then cycle type (longest cycle first, fixed
+    # points included) in lexicographic order, then the one-line tuple
+    lengths, seen = [], set()
+    for start in range(len(perm)):
+        n, j = 0, start
+        while j not in seen:
+            seen.add(j)
+            j, n = perm[j], n + 1
+        if n:
+            lengths.append(n)
+    moved = sum(1 for i, x in enumerate(perm) if x != i)
+    return moved, tuple(sorted(lengths, reverse=True)), perm
+
+
+@pytest.mark.parametrize("k", [4, 5])
+def test_all_decompositions_follow_the_documented_key(k):
+    got = [rho.to_permutation() for rho in all_decompositions(k)]
+    assert got == sorted(itertools.permutations(range(k)), key=_order_key)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_trace_states_stay_paired_with_their_labels(k):
+    # the CLI pairs labels and states by index
+    rhos = all_decompositions(k)
+    states = raw_trace_states(k)
+    assert len(states) == len(rhos)
+    for rho, state in zip(rhos, states):
+        assert state == trace_basis_state(rho), rho
+    if k > 1:
+        fixed_point_free = [state for rho, state in zip(rhos, states)
+                            if all(len(c) > 1 for c in rho.cycles)]
+        assert derangement_states(k) == fixed_point_free
+
+
+def test_the_trace_route_builds_no_cycle_decomposition(monkeypatch):
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("the trace route built a CycleDecomposition")
+
+    monkeypatch.setattr(CycleDecomposition, "__init__", refuse)
+    derangement_block.cache_clear()
+    assert len(raw_trace_states(4)) == 24
+    assert len(derangement_block.__wrapped__(5)[0]) == 44
+    assert len(normalized_trace_basis(4)) == 24
+    assert [singlet_count(4, n) for n in range(1, 6)] == [1, 14, 23, 24, 24]
+
+
 def test_derangement_states_count_and_annihilation():
     assert len(derangement_states(2)) == 1
     assert len(derangement_states(3)) == 2
@@ -427,7 +475,7 @@ def test_trace_states_relabel_under_conjugation(s):
     rng = random.Random(2500 + s)
     perms = list(itertools.permutations(range(s)))
     derangements = [rho.to_permutation() for rho in all_decompositions(s)
-                    if rho.is_derangement()]
+                    if all(len(c) > 1 for c in rho.cycles)]
     for _ in range(3):
         pi = rng.choice(perms)
         for rho in rng.sample(derangements, min(4, len(derangements))):
