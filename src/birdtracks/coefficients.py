@@ -347,11 +347,13 @@ def _json_list(data, field: str, kind: type) -> list:
 
 
 def _as_rf(x) -> RationalFunction:
+    """x as a RationalFunction; ints, numpy integers and Fractions are
+    constants, and anything else is OutOfRange."""
     if isinstance(x, RationalFunction):
         return x
-    if isinstance(x, (int, Fraction)):
-        return RationalFunction.from_fraction(x)
-    raise TypeError(f"cannot coerce {type(x).__name__} to RationalFunction")
+    if not isinstance(x, Fraction):
+        x = integer(x, "coefficient", None)
+    return RationalFunction.from_fraction(x)
 
 
 _RF_ZERO = RationalFunction(_ZERO, _ONE, _reduced=True)

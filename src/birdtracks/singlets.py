@@ -164,33 +164,24 @@ def singlet_table(k: int = 3, source: str = "builtin"):
     Entry [i][j] is the projector for i == j and the transition operator
     from state j to state i otherwise.  A transition's weight is the
     geometric mean sqrt(beta_i beta_j) of the two projector
-    normalizations, taken once for each distinct pair of normalization
-    values; transitions whose weights are equal, T_ij and T_ji among
-    them, hold the same weight object.
+    normalizations, which are rational.  It is taken once per distinct
+    product beta_i beta_j, so transitions whose weights are equal, T_ij
+    and T_ji among them, hold the same weight object.
     """
     basis = singlet_basis(k, source)
-    # states numbered by their normalization value, equal values alike
-    values = {}
-    value_of = [values.setdefault(op.normalization, len(values))
-                for op in basis]
-    weights, roots = {}, {}
+    betas = [op.normalization.rational_part() for op in basis]
+    roots = {}  # beta_i beta_j -> its square root, the transition weight
     table = [[None] * len(basis) for _ in basis]
     for i, row_op in enumerate(basis):
         table[i][i] = SingletOperator(row_op.ket, row_op.bra,
                                       row_op.normalization, row_op.kind,
                                       (i, i))
         for j in range(i + 1, len(basis)):
-            pair = (min(value_of[i], value_of[j]),
-                    max(value_of[i], value_of[j]))
-            weight = weights.get(pair)
-            if weight is None:
-                square = (row_op.normalization
-                          * basis[j].normalization).rational_part()
-                if square not in roots:
-                    roots[square] = sqrt(square)
-                weight = weights[pair] = roots[square]
-            table[i][j] = SingletOperator(row_op.ket, basis[j].ket, weight,
-                                          TRANSITION, (i, j))
+            square = betas[i] * betas[j]
+            if square not in roots:
+                roots[square] = sqrt(square)
+            table[i][j] = SingletOperator(row_op.ket, basis[j].ket,
+                                          roots[square], TRANSITION, (i, j))
             table[j][i] = table[i][j].dagger()
     return table
 
@@ -239,8 +230,8 @@ def is_dimensionally_null(state: InvariantElement, n: int) -> bool:
     return all(value == 0 for value in parts.values())
 
 
-# singlet_count keeps what it specialises for the life of the process: the
-# norms of an orthogonal source, and each derangement Gram matrix D_s.
+# singlet_count keeps the norms of an orthogonal source for the life of the
+# process; derangement_block keeps each derangement Gram matrix D_s.
 
 @lru_cache(maxsize=None)
 def _orthogonal_norms(k: int, source: str) -> tuple:
@@ -249,17 +240,6 @@ def _orthogonal_norms(k: int, source: str) -> tuple:
     basis = singlet_basis(k, source)
     return (tuple(op.ket for op in basis),
             tuple((1 / op.normalization).rational_part() for op in basis))
-
-
-@lru_cache(maxsize=None)
-def _derangement_gram(s: int) -> tuple:
-    """D_s of derangement_block as (distinct entries, rows of indices into
-    them), so that each distinct entry is evaluated once per N."""
-    distinct = {}
-    index = tuple(tuple(distinct.setdefault(entry, len(distinct))
-                        for entry in row)
-                  for row in derangement_block(s)[1])
-    return tuple(distinct), index
 
 
 def singlet_count(k: int, n: int, source: str = "trace") -> int:
@@ -272,9 +252,11 @@ def singlet_count(k: int, n: int, source: str = "trace") -> int:
     C(k, s) moved sets with s points being N^(k-s) D_s (see
     derangement_block), so the trace count is
     1 + sum_{s=2..k} C(k, s) rank D_s(n): the identity state, then the
-    derangement states on s points, and the k! trace states are never
-    built.  On either route a source state with a coefficient that has
-    a pole at n does not specialize, and raises PoleAtN.
+    derangement states on s points.  Each distinct entry of D_s is
+    evaluated once at n and placed by derangement_block's index rows;
+    the k! trace states are never built.  On either route a source state
+    with a coefficient that has a pole at n does not specialize, and
+    raises PoleAtN.
     """
     k, n = integer(k, "k", 1), integer(n, "N", 1)
     if source != "trace":
@@ -283,10 +265,10 @@ def singlet_count(k: int, n: int, source: str = "trace") -> int:
         return sum(1 for norm in norms if norm.eval_at(n))
     count = 1
     for s in range(2, k + 1):
-        _require_finite(derangement_block(s)[0], n,
+        states, entries, rows = derangement_block(s)
+        _require_finite(states, n,
                         lambda i: f"derangement trace state {i} on {s} points")
-        entries, index = _derangement_gram(s)
         values = [entry.eval_at(n) for entry in entries]
         count += math.comb(k, s) * exact_rank([[values[j] for j in row]
-                                               for row in index])
+                                               for row in rows])
     return count

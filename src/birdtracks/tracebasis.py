@@ -228,8 +228,9 @@ def raw_trace_states(k: int):
 def derangement_block(s: int):
     """The derangement trace states on s points and their Gram matrix D_s.
 
-    Returns (states, gram) as tuples: derangement_states(s) and their
-    inner products <i|j> over Q(N).  The Gram matrix of
+    Returns (states, entries, rows) as tuples: derangement_states(s),
+    each distinct inner product <i|j> over Q(N) once, and rows[i][j], the
+    index in entries of D_s[i][j].  The Gram matrix of
     raw_trace_states(k) is block diagonal by moved set.  The states whose
     moved set S has s points, in all_decompositions(k) order, have the
     block N^(k-s) D_s: relabelling S onto 1..s in order keeps that order,
@@ -250,28 +251,30 @@ def derangement_block(s: int):
     s = integer(s, "k", 2)
     perms = _derangements(s)
     states = tuple(_trace_state(p) for p in perms)
+    distinct = {}  # each distinct entry of D_s -> its index
     firsts = {}  # cycle type -> (cycles of rho0, row of rho0 by sigma)
-    gram = []
+    rows = []
     for perm, state in zip(perms, states):
         cycles = sorted(_cycles(perm), key=len)
         kind = tuple(map(len, cycles))
         if kind not in firsts:
             centralizer = [c for c in itertools.permutations(range(s))
                            if _conjugate(c, perm) == perm]
-            values, row = {}, {}
+            orbits, row = {}, {}
             for sigma, other in zip(perms, states):
                 key = min(_conjugate(c, sigma) for c in centralizer)
-                if key not in values:
-                    values[key] = inner_product(state, other).rational_part()
-                row[sigma] = values[key]
+                if key not in orbits:
+                    value = inner_product(state, other).rational_part()
+                    orbits[key] = distinct.setdefault(value, len(distinct))
+                row[sigma] = orbits[key]
             firsts[kind] = (cycles, row)
         first_cycles, row = firsts[kind]
         back = [0] * s  # pi^-1, the cycles of rho onto those of rho0
         for ours, theirs in zip(cycles, first_cycles):
             for x, y in zip(ours, theirs):
                 back[x] = y
-        gram.append(tuple(row[_conjugate(back, sigma)] for sigma in perms))
-    return states, tuple(gram)
+        rows.append(tuple(row[_conjugate(back, sigma)] for sigma in perms))
+    return states, tuple(distinct), tuple(rows)
 
 
 def normalized_trace_basis(k: int):
@@ -305,15 +308,16 @@ def normalized_trace_basis(k: int):
     for moved, indices in blocks.items():
         s = len(moved)
         if s not in factors:
-            gram = derangement_block(s)[1] if s else ((_RF_ONE,),)
+            entries, rows = (derangement_block(s)[1:] if s
+                             else ((_RF_ONE,), ((0,),)))
+            gram = [[entries[j] for j in row] for row in rows]
             if k == 3 and s == 3:
                 # the Gram matrix of the difference and the sum
                 (a, b), (_, c) = gram
                 gram = ((a - 2 * b + c, a - c), (a - c, a + 2 * b + c))
-            lower, block_pivots = _ldl(gram)
+            inverse, block_pivots = _ldl(gram)
             scale = _RF_N ** (k - s)
-            factors[s] = (_unit_lower_inverse(lower),
-                          [scale * pivot for pivot in block_pivots])
+            factors[s] = (inverse, [scale * pivot for pivot in block_pivots])
         inverse, block_pivots = factors[s]
         block_kets = _combine(inverse, [states[i] for i in indices])
         for i, ket, pivot in zip(indices, block_kets, block_pivots):
@@ -323,12 +327,13 @@ def normalized_trace_basis(k: int):
 
 
 def _ldl(gram):
-    """G = L D L^T for a symmetric matrix over Q(N); returns (L, D).
+    """G = L D L^T for a symmetric matrix over Q(N); returns (L^-1, D).
 
-    L is unit lower triangular, given by its rows below the diagonal.  A
-    zero pivot means a state depends on its predecessors.
+    L is unit lower triangular.  Each row i of L^-1 is taken as soon as
+    row i of L is known: M_i = e_i - sum_j L_ij M_j.  A zero pivot means
+    a state depends on its predecessors.
     """
-    lower, pivots = [], []
+    lower, inverse, pivots = [], [], []
     for i, row in enumerate(gram):
         scaled = []  # L_ij D_j
         for j in range(i):
@@ -340,16 +345,9 @@ def _ldl(gram):
                 "trace states are linearly dependent over Q(N)")
         lower.append(coeffs)
         pivots.append(pivot)
-    return lower, pivots
-
-
-def _unit_lower_inverse(lower):
-    """Rows of L^-1 for L given as by _ldl: M_i = e_i - sum_j L_ij M_j."""
-    inverse = []
-    for coeffs in lower:
-        inverse.append([-_dot(coeffs[j:], [row[j] for row in inverse[j:]])
-                        for j in range(len(coeffs))] + [_RF_ONE])
-    return inverse
+        inverse.append([-_dot(coeffs[j:], [m[j] for m in inverse[j:]])
+                        for j in range(i)] + [_RF_ONE])
+    return inverse, pivots
 
 
 def _dot(a, b) -> RationalFunction:

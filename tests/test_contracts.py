@@ -7,15 +7,19 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from birdtracks.coefficients import rf
+from birdtracks.coefficients import N, ONE, RationalFunction, rf, sqrt
 from birdtracks.diagrams import (
     InvariantElement,
     PrimitiveDiagram,
     Signature,
+    compose,
     identity,
+    inner_product,
     ket_signature,
+    ketbra,
     operator_signature,
     parse_cycles,
+    permutation_element,
 )
 from birdtracks.epsilon import (
     TransientParams,
@@ -32,13 +36,19 @@ from birdtracks.epsilon import (
 )
 from birdtracks.errors import (
     BadBlockSize,
+    DimensionMismatch,
+    DivisionByZero,
     InvalidDecomposition,
     OutOfRange,
+    RadicalComparisonUnsupported,
+    SignatureMismatch,
     UnsupportedK,
     integer,
 )
 from birdtracks.numeric import (
     ExactTensor,
+    apply_per_leg,
+    correlator_matrix,
     evaluate,
     evaluate_float,
     integer_entries,
@@ -69,6 +79,7 @@ from birdtracks.tracebasis import (
     normalized_trace_basis,
     pair_singlet_projector,
     raw_trace_states,
+    trace_basis_state,
 )
 
 _KET = identity(Signature("q")).bend()
@@ -235,6 +246,99 @@ def test_float_exponents_and_axes_are_refused():
     with pytest.raises(OutOfRange, match="axis"):
         ExactTensor((2, 2)).permuted((1.0, 0.0))
     assert rf([0, 1]) ** np.int64(-2) == rf([1], [0, 0, 1])
+
+
+# (id, a call of one coefficient argument): each raised a bare TypeError
+# for a numpy integer
+COEFFICIENT_ARGUMENTS = [
+    ("sqrt", sqrt),
+    ("RationalFunction-mul", lambda v: rf([0, 1]) * v),
+    ("RationalFunction-div", lambda v: rf([0, 1]) / v),
+    ("RadicalCoefficient-mul", lambda v: ONE * v),
+    ("InvariantElement.scaled", lambda v: _KET.scaled(v)),
+]
+
+
+@pytest.mark.parametrize("case, call", COEFFICIENT_ARGUMENTS,
+                         ids=[case for case, _ in COEFFICIENT_ARGUMENTS])
+def test_coefficients_take_numpy_integers_and_refuse_floats(case, call):
+    assert call(np.int64(3)) == call(3)
+    with pytest.raises(OutOfRange, match="^coefficient must be an integer"):
+        call(2.5)
+
+
+_OTHER_KET = InvariantElement.from_perm(Signature("bq", "ket"), (0,))
+
+# (id, a call that is refused, the error, a fragment of its message)
+ERROR_PATHS = [
+    ("compose-orientations",
+     lambda: compose(identity(Signature("q")), identity(Signature("b"))),
+     SignatureMismatch, "cannot act on"),
+    ("inner_product-signatures", lambda: inner_product(_KET, _OTHER_KET),
+     SignatureMismatch, " vs "),
+    ("ketbra-operators", lambda: ketbra(_OP, _OP), SignatureMismatch,
+     "two kets"),
+    ("identity-ket", lambda: identity(_KET.sig), SignatureMismatch,
+     "needs an operator signature"),
+    ("bend-ket", lambda: _KET.bend(), SignatureMismatch,
+     "bend is defined on operators"),
+    ("partial_trace-ket", lambda: _KET.partial_trace([0]), SignatureMismatch,
+     "partial trace is defined on operators"),
+    ("PrimitiveDiagram-unequal-legs",
+     lambda: PrimitiveDiagram(Signature("qqb", "ket"), (0,)),
+     SignatureMismatch, "equal leg counts"),
+    ("InvariantElement-foreign-term",
+     lambda: InvariantElement(_KET.sig, {PrimitiveDiagram(_OP.sig, (0, 1)):
+                                         ONE}),
+     SignatureMismatch, "!= element signature"),
+    ("ExactTensor.permuted-repeated-axis",
+     lambda: ExactTensor((2, 2)).permuted((0, 0)), DimensionMismatch,
+     "not an axis permutation"),
+    ("ExactTensor.trace-non-square", lambda: ExactTensor((2, 3)).trace(),
+     DimensionMismatch, "non-square shape"),
+    ("correlator_matrix-operator",
+     lambda: correlator_matrix([_OP], [np.eye(2)] * 2, 2), DimensionMismatch,
+     "must be kets"),
+    ("correlator_matrix-legs",
+     lambda: correlator_matrix([_KET], [np.eye(2)], 2), DimensionMismatch,
+     "1 matrices for 2 legs"),
+    ("correlator_matrix-mixed",
+     lambda: correlator_matrix([_KET, _OTHER_KET], [np.eye(2)] * 2, 2),
+     DimensionMismatch, "mixed signatures"),
+    ("apply_per_leg-axes",
+     lambda: apply_per_leg(np.zeros((2, 2)), [np.eye(2)]), DimensionMismatch,
+     "1 matrices for 2 axes"),
+    ("epsilon_tensor-cap", lambda: epsilon_tensor(8), OutOfRange,
+     "exceeds the dense cap"),
+    ("parse_cycles-stray-entry", lambda: parse_cycles("(1 2)3(4)", 4),
+     OutOfRange, "malformed cycle '3(4)'"),
+    ("leibniz_translate-no-legs",
+     lambda: leibniz_translate(ExactTensor(()), 1), BadBlockSize,
+     "no legs to translate"),
+    ("trace_basis_state-int", lambda: trace_basis_state(42),
+     InvalidDecomposition, "cannot interpret 42"),
+    ("RationalFunction-zero-denominator",
+     lambda: RationalFunction((1,), ()), DivisionByZero, "zero denominator"),
+    ("rational_part-irrational", lambda: sqrt(N).rational_part(),
+     RadicalComparisonUnsupported, "irrational terms"),
+    ("eval_float-negative-radicand",
+     lambda: sqrt(rf([-2, 0, 1])).eval_float(1),
+     RadicalComparisonUnsupported, "negative radicand"),
+]
+
+
+@pytest.mark.parametrize("case, call, error, fragment", ERROR_PATHS,
+                         ids=[case[0] for case in ERROR_PATHS])
+def test_public_error_paths_raise_their_subclass(case, call, error, fragment):
+    with pytest.raises(error, match=re.escape(fragment)):
+        call()
+
+
+def test_product_of_two_operators_composes_them():
+    op = identity(Signature("qq")) + permutation_element(
+        Signature("qq"), (1, 0), 2)
+    assert op * op == compose(op, op)
+    assert op * op != op
 
 
 def test_one_line_permutations_are_read_as_int_tuples():

@@ -118,6 +118,24 @@ def test_transitions_share_one_weight_per_distinct_value(k, source):
     assert len(weights) == len(set(weights.values()))
 
 
+@pytest.mark.parametrize("k, source, roots", [
+    (2, "trace", 1), (3, "builtin", 4), (3, "trace", 5), (4, "trace", 13),
+    (3, "trace+orthogonalize", 7), (4, "trace+orthogonalize", 78),
+])
+def test_singlet_table_takes_one_root_per_distinct_square(
+        monkeypatch, k, source, roots):
+    squares = []
+
+    def counting(square):
+        squares.append(square)
+        return sqrt(square)
+
+    monkeypatch.setattr(singlets, "sqrt", counting)
+    singlet_table(k, source)
+    assert len(squares) == roots
+    assert len(set(squares)) == roots
+
+
 def test_rank_one_product_matches_expansion():
     table = singlet_table(3)
     flat = [table[i][j] for i in range(6) for j in range(6)]

@@ -397,12 +397,12 @@ def test_normalized_trace_basis_matches_gram_schmidt(k):
 def test_dependent_trace_states_are_refused(monkeypatch):
     # the basis factors the derangement Gram blocks, so make the k=2 block
     # that of the swap state and twice the swap state
-    (swap,), _ = tracebasis.derangement_block(2)
+    (swap,), _, _ = tracebasis.derangement_block(2)
     states = (swap, swap.scaled(2))
-    gram = tuple(tuple(inner_product(a, b).rational_part() for b in states)
-                 for a in states)
+    gram = tuple(inner_product(a, b).rational_part()
+                 for a in states for b in states)
     monkeypatch.setattr(tracebasis, "derangement_block",
-                        lambda s: (states, gram))
+                        lambda s: (states, gram, ((0, 1), (2, 3))))
     with pytest.raises(InvalidDecomposition, match="linearly dependent"):
         normalized_trace_basis(2)
 
@@ -426,7 +426,11 @@ def test_trace_gram_is_block_diagonal_by_moved_set(k):
                 assert entry.is_zero(), (i, j)
     for ms, indices in blocks.items():
         s = len(ms)
-        d = derangement_block(s)[1] if s else [[rf([1])]]
+        if s:
+            _, entries, rows = derangement_block(s)
+            d = [[entries[j] for j in row] for row in rows]
+        else:
+            d = [[rf([1])]]
         assert len(d) == len(indices)
         scale = rf([0] * (k - s) + [1])
         for a, i in enumerate(indices):
@@ -458,13 +462,27 @@ def test_derangement_block_matches_the_pairwise_gram(s):
     states = tuple(derangement_states(s))
     want = tuple(tuple(entry.rational_part() for entry in row)
                  for row in gram_matrix(states))
-    got_states, got = derangement_block(s)
+    got_states, entries, rows = derangement_block(s)
+    got = [[entries[j] for j in row] for row in rows]
     assert got_states == states
     assert len(got) == len(want)
     for i, (got_row, want_row) in enumerate(zip(got, want)):
         assert len(got_row) == len(want_row)
         for j, (a, b) in enumerate(zip(got_row, want_row)):
             assert (a.num, a.den) == (b.num, b.den), (s, i, j)
+
+
+@pytest.mark.parametrize("s, distinct", [(2, 1), (3, 2), (4, 7), (5, 16)])
+def test_derangement_block_keeps_each_entry_once(s, distinct):
+    states, entries, rows = derangement_block(s)
+    assert len(entries) == distinct
+    assert all(a != b for a, b in itertools.combinations(entries, 2))
+    assert len(rows) == len(states)
+    assert all(len(row) == len(states) for row in rows)
+    assert {j for row in rows for j in row} == set(range(distinct))
+    d = [[entries[j] for j in row] for row in rows]
+    assert all(d[i][j] == d[j][i]
+               for i in range(len(d)) for j in range(i))
 
 
 @pytest.mark.parametrize("s", [3, 4, 5])
