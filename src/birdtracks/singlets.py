@@ -13,7 +13,6 @@ dimensionally null.
 """
 
 import math
-from functools import lru_cache
 
 from .coefficients import RadicalCoefficient, _json_list, _p_eval, sqrt
 from .diagrams import (
@@ -230,27 +229,15 @@ def is_dimensionally_null(state: InvariantElement, n: int) -> bool:
     return all(value == 0 for value in parts.values())
 
 
-# singlet_count keeps the norms of an orthogonal source for the life of the
-# process; derangement_block keeps each derangement Gram matrix D_s.
-
-@lru_cache(maxsize=None)
-def _orthogonal_norms(k: int, source: str) -> tuple:
-    """The kets of an orthogonal source and their norms <i|i> = 1/beta_i,
-    read off the basis normalizations rather than a Gram matrix."""
-    basis = singlet_basis(k, source)
-    return (tuple(op.ket for op in basis),
-            tuple((1 / op.normalization).rational_part() for op in basis))
-
-
 def singlet_count(k: int, n: int, source: str = "trace") -> int:
     """Number of independent singlet states of Mixed(k,k) at N = n.
 
     Two routes, by source.  builtin and trace+orthogonalize are
-    orthogonal, so their count is the number of basis norms
-    <i|i> = 1/beta_i that do not vanish at n.  The trace states' Gram
-    matrix is block diagonal by moved set, the block of each of the
-    C(k, s) moved sets with s points being N^(k-s) D_s (see
-    derangement_block), so the trace count is
+    orthogonal, so their count builds the basis on each call, keeping
+    none of it, and counts the norms <i|i> = 1/beta_i that do not vanish
+    at n.  The trace states' Gram matrix is block diagonal by moved set,
+    the block of each of the C(k, s) moved sets with s points being
+    N^(k-s) D_s (see derangement_block), so the trace count is
     1 + sum_{s=2..k} C(k, s) rank D_s(n): the identity state, then the
     derangement states on s points.  Each distinct entry of D_s is
     evaluated once at n and placed by derangement_block's index rows;
@@ -260,9 +247,11 @@ def singlet_count(k: int, n: int, source: str = "trace") -> int:
     """
     k, n = integer(k, "k", 1), integer(n, "N", 1)
     if source != "trace":
-        kets, norms = _orthogonal_norms(k, source)
-        _require_finite(kets, n, lambda i: f"{source} state {i}")
-        return sum(1 for norm in norms if norm.eval_at(n))
+        basis = singlet_basis(k, source)
+        _require_finite([op.ket for op in basis], n,
+                        lambda i: f"{source} state {i}")
+        return sum(1 for op in basis
+                   if (1 / op.normalization).rational_part().eval_at(n))
     count = 1
     for s in range(2, k + 1):
         states, entries, rows = derangement_block(s)

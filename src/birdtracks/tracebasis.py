@@ -34,6 +34,7 @@ from .diagrams import (
     _conjugate,
     _cycle_entries,
     _cycles,
+    _gram_form,
     _one_line,
     _permutation,
     identity,
@@ -363,35 +364,28 @@ def _combine(rows, states):
     """The kets sum_j rows[i][j] * states[j], for states with rational
     coefficients.
 
-    Each ket is summed in integer polynomials over one denominator, that
-    of its row times that of all the states, and each of its coefficients
-    is reduced once.
+    Each state is read through its Gram form: integer numerators by perm
+    over one denominator D_j.  Ket i is summed in integer polynomials
+    over the lcm of its row's m_ij.den * D_j, and each of its
+    coefficients is reduced once.
     """
-    state_den = _ONE
-    for state in states:
-        for coeff in state.terms.values():
-            state_den = _p_lcm(state_den, coeff.rational_part().den)
-    scaled = []
-    for state in states:
-        terms = {}
-        for diag, coeff in state.terms.items():
-            value = coeff.rational_part()
-            terms[diag] = _p_mul(value.num, _p_exquo(state_den, value.den))
-        scaled.append(terms)
+    forms = [_gram_form(state) for state in states]
+    diagrams = {diag.perm: diag for state in states for diag in state.terms}
     kets = []
     for row in rows:
+        parts = [(m, _p_mul(m.den, state_den), terms)
+                 for m, form in zip(row, forms) if not m.is_zero()
+                 for _, state_den, terms in form]
         den = _ONE
-        for m in row:
-            den = _p_lcm(den, m.den)
+        for _, part_den, _ in parts:
+            den = _p_lcm(den, part_den)
         sums = {}
-        for m, terms in zip(row, scaled):
-            if m.is_zero():
-                continue
-            factor = _p_mul(m.num, _p_exquo(den, m.den))
-            for diag, num in terms.items():
-                sums[diag] = _p_add(sums.get(diag, ()), _p_mul(factor, num))
-        den = _p_mul(den, state_den)
+        for m, part_den, terms in parts:
+            factor = _p_mul(m.num, _p_exquo(den, part_den))
+            for perm, _, num in terms:
+                sums[perm] = _p_add(sums.get(perm, ()), _p_mul(factor, num))
         kets.append(InvariantElement(states[0].sig, {
-            diag: RadicalCoefficient.from_rational(RationalFunction(num, den))
-            for diag, num in sums.items()}))
+            diagrams[perm]:
+                RadicalCoefficient.from_rational(RationalFunction(num, den))
+            for perm, num in sums.items()}))
     return kets

@@ -55,6 +55,14 @@ def _nonzero_off_diagonal(real):
     return gram
 
 
+def _doubled_first_norm(real):
+    def gram(states):
+        rows = [row[:] for row in real(states)]
+        rows[0][0] = rows[0][0] * 2
+        return rows
+    return gram
+
+
 def _foreign_state(side):
     # T_12 carries state 3's ket or bra; T_21 stays its dagger
     def fake(real):
@@ -93,11 +101,25 @@ def _foreign_state(side):
     # +X^T instead of -X^T on the antifundamental legs
     (checks.check_unitary_invariance, "_dual",
      lambda real: lambda x: {(c, r): v for (r, c), v in x.items()}),
+    (checks.check_operator_algebra, "gram_matrix", _doubled_first_norm),
+    (checks.check_loop_factor, "compose",
+     lambda real: lambda a, b: real(a, b).scaled(2)),
+    (checks.check_lr_projectors, "adjoint_pair_diagram",
+     lambda real: checks.pair_singlet_projector),
+    (checks.check_baryon_equivalence, "verify_baryon_equivalence",
+     lambda real: lambda n: True),
+    (checks.check_pieri_dimensions, "pieri_add_antifundamental",
+     lambda real: lambda shape, n: real(shape, n)[::-1]),
+    (checks.check_pieri_dimensions, "shape_dimension",
+     lambda real: lambda shape, n: real(shape, n) + 1),
 ], ids=["scaled-inner-product", "off-by-one-count", "dropped-dense-state",
         "wrong-pair-projector", "perturbed-product-weight",
         "nonzero-off-diagonal-gram", "transition-with-foreign-ket",
         "transition-with-foreign-bra", "perturbed-trace-state",
-        "perturbed-bent-state", "transpose-on-antifundamental"])
+        "perturbed-bent-state", "transpose-on-antifundamental",
+        "doubled-diagonal-gram", "scaled-composition",
+        "wrong-adjoint-projector", "baryon-equivalence-everywhere",
+        "reordered-pieri-shapes", "off-by-one-dimension"])
 def test_wrong_input_fails_the_check(monkeypatch, check, name, fake):
     monkeypatch.setattr(checks, name, fake(getattr(checks, name)))
     assert check() is False

@@ -285,7 +285,6 @@ def test_trace_counts_at_k5_match_hook_lengths():
 
 
 def test_pole_check_precedes_and_survives_the_cached_gram():
-    singlets._orthogonal_norms.cache_clear()
     with pytest.raises(PoleAtN, match="state 16 .*N=1"):
         singlet_count(4, 1, "trace+orthogonalize")
     assert singlet_count(4, 2, "trace+orthogonalize") == 14

@@ -16,7 +16,7 @@ from birdtracks.diagrams import (
     permutation_element,
 )
 from birdtracks.errors import InvalidDecomposition, OutOfRange
-from birdtracks.numeric import evaluate, exact_rank
+from birdtracks.numeric import evaluate, exact_rank, integer_entries
 from birdtracks.singlets import _ket_projector, gram_matrix, singlet_count
 from birdtracks.tracebasis import (
     CycleDecomposition,
@@ -392,6 +392,26 @@ def test_normalized_trace_basis_matches_gram_schmidt(k):
         assert a.normalization == b.normalization
         assert a.labels == b.labels and a.kind == b.kind
         assert a.bra == a.ket
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_k4_normalized_kets_are_orthogonal_as_dense_tensors(n):
+    # an oracle outside the symbolic layer: the exact tensors of the 24
+    # kets, dotted entry by entry, are orthogonal with norms 1/beta_i
+    basis = normalized_trace_basis(4)
+    tensors = [integer_entries(op.ket, n) for op in basis]
+
+    def dot(a, b):
+        (den_a, nums_a), (den_b, nums_b) = a, b
+        total = sum(num * nums_b.get(key, 0) for key, num in nums_a.items())
+        return Fraction(total, den_a * den_b)
+
+    off_diagonal = [dot(tensors[i], tensors[j])
+                    for i in range(len(basis)) for j in range(i)]
+    assert len(off_diagonal) == 276
+    assert not any(off_diagonal)
+    for op, tensor in zip(basis, tensors):
+        assert dot(tensor, tensor) == (1 / op.normalization).eval_rational(n)
 
 
 def test_dependent_trace_states_are_refused(monkeypatch):
