@@ -77,51 +77,46 @@ class TransientParams(_Record):
 def pieri_add_antifundamental(shape, n_param: int) -> list[YoungShape]:
     """Shapes reachable from `shape` by tensoring on one V* leg.
 
-    A single antifundamental is the column of N - 1 boxes, so the Pieri
-    rule adds N - 1 boxes with no two in the same row, and the result has
-    to stay a shape on at most N rows.  Equivalently: every row but one
-    grows by a box.  Sorted longest-row-first.
+    A single antifundamental is the column of N - 1 boxes: by the Pieri
+    rule every row but one of the N grows by a box, as in the steps of
+    lr_decomposition.  Sorted longest-row-first.
     """
     rows, n_param = _shape_rows(shape), integer(n_param, "N", 2)
     if len(rows) > n_param:
         raise OutOfRange(f"shape {list(rows)} has more than {n_param} rows")
-    padded = list(rows) + [0] * (n_param - len(rows))
-    found = []
-    for skipped in range(n_param):
-        cand = [r + 1 for r in padded]
-        cand[skipped] -= 1
-        if all(cand[i] >= cand[i + 1] for i in range(n_param - 1)):
-            found.append(tuple(x for x in cand if x))
-    return sorted((YoungShape(rows) for rows in found),
+    return sorted((YoungShape(grown) for grown
+                   in _column_additions(rows, n_param - 1, n_param)),
                   key=lambda s: s.rows, reverse=True)
 
 
-def _box_additions(rows: tuple[int, ...], n_param: int):
-    for r in range(min(len(rows) + 1, n_param)):
-        if r == len(rows):
-            yield rows + (1,)
-        elif r == 0 or rows[r] < rows[r - 1]:
-            yield rows[:r] + (rows[r] + 1,) + rows[r + 1:]
+def _column_additions(rows: tuple[int, ...], size: int, n_param: int):
+    padded = rows + (0,) * (n_param - len(rows))
+    for grown in itertools.combinations(range(n_param), size):
+        cand = list(padded)
+        for r in grown:
+            cand[r] += 1
+        if all(cand[i] >= cand[i + 1] for i in range(n_param - 1)):
+            yield tuple(x for x in cand if x)
 
 
 def lr_decomposition(m: int, n: int, n_param: int) -> list[YoungShape]:
     """Irrep multiset of V^m x V*^n at N = n_param, duplicates included.
 
-    Grows m fundamental boxes one at a time from the empty shape, then
-    takes n antifundamental Pieri steps.  Shapes keep any full height-N
-    columns; shape_dimension strips those, and summing it over the result
-    gives n_param^(m + n).  The m = n = 0 product is only the trivial
-    representation, which has no boxes, so the list comes back empty.
+    Starts from the empty shape and tensors on one column per factor: a
+    fundamental is the column of one box and an antifundamental the
+    column of N - 1 boxes.  By the Pieri rule a column of c boxes grows
+    c distinct rows, and the result has to stay a shape on at most N
+    rows.  Shapes keep any full height-N columns; shape_dimension strips
+    those, and summing it over the result gives n_param^(m + n).  The
+    m = n = 0 product is only the trivial representation, which has no
+    boxes, so the list comes back empty.
     """
     n_param = integer(n_param, "N", 2)
     m, n = integer(m, "m", 0), integer(n, "n", 0)
     current: list[tuple[int, ...]] = [()]
-    for _ in range(m):
+    for size in (1,) * m + (n_param - 1,) * n:
         current = [grown for rows in current
-                   for grown in _box_additions(rows, n_param)]
-    for _ in range(n):
-        current = [s.rows for rows in current
-                   for s in pieri_add_antifundamental(rows, n_param)]
+                   for grown in _column_additions(rows, size, n_param)]
     return sorted((YoungShape(rows) for rows in current if rows),
                   key=lambda s: s.rows, reverse=True)
 

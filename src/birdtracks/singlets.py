@@ -20,7 +20,6 @@ from .diagrams import (
     InvariantElement,
     Signature,
     _Record,
-    _gram_form,
     format_cycles,
     inner_product,
     ketbra,
@@ -201,14 +200,10 @@ def gram_matrix(states):
 def _require_finite(states, n: int, name) -> None:
     """Raise PoleAtN if a coefficient of one of the states has a pole at n.
 
-    The message names the first such term: name(state index) and its
-    diagram.  A state's Gram form holds, per radicand, the lcm of its
-    coefficients' denominators, which vanishes at n exactly when one of
-    them does; only then are the state's terms walked for the witness.
+    One walk over the states' terms; the message names the first such
+    term: name(state index) and its diagram.
     """
     for i, state in enumerate(states):
-        if all(_p_eval(den, n) for _, den, _ in _gram_form(state)):
-            continue
         for diag, coeff in state.terms.items():
             if any(not _p_eval(mult.den, n) for mult in coeff.terms.values()):
                 raise PoleAtN(
@@ -241,9 +236,10 @@ def singlet_count(k: int, n: int, source: str = "trace") -> int:
     1 + sum_{s=2..k} C(k, s) rank D_s(n): the identity state, then the
     derangement states on s points.  Each distinct entry of D_s is
     evaluated once at n and placed by derangement_block's index rows;
-    the k! trace states are never built.  On either route a source state
-    with a coefficient that has a pole at n does not specialize, and
-    raises PoleAtN.
+    the k! trace states are never built.  Only an orthogonal source can
+    have a pole at n, since a trace-state coefficient is a product of
+    weights c (-1/N)^j; a source state with a coefficient that has a
+    pole at n does not specialize, and raises PoleAtN.
     """
     k, n = integer(k, "k", 1), integer(n, "N", 1)
     if source != "trace":
@@ -254,9 +250,7 @@ def singlet_count(k: int, n: int, source: str = "trace") -> int:
                    if (1 / op.normalization).rational_part().eval_at(n))
     count = 1
     for s in range(2, k + 1):
-        states, entries, rows = derangement_block(s)
-        _require_finite(states, n,
-                        lambda i: f"derangement trace state {i} on {s} points")
+        _, entries, rows = derangement_block(s)
         values = [entry.eval_at(n) for entry in entries]
         count += math.comb(k, s) * exact_rank([[values[j] for j in row]
                                                for row in rows])

@@ -514,6 +514,8 @@ def test_basis_latex_coefficient_rows(capsys):
      "6eb95b9bb1a3c6fd79505db89bbb5f0a61c27717bea179c3db8cfa220ab5fd22"),
     (("singlets", "--k", "4", "--source", "trace"),
      "f63bd1f8c0c16c65312f0e7ac549e670505f2bee30df1c5ea1986dfc7aaba081"),
+    (("verify",),
+     "6862b04dd03d677e07d2789be7747532b37726f0ae3f0c346895c17df40c6656"),
 ])
 def test_json_output_bytes_are_pinned(capsys, argv, digest):
     code, out, _ = run(capsys, *argv, "--format", "json")

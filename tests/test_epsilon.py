@@ -4,8 +4,10 @@ from fractions import Fraction
 import pytest
 
 from birdtracks import epsilon
+from birdtracks.checks import _dual, _lie_action
 from birdtracks.coefficients import rf
 from birdtracks.diagrams import (
+    FUND,
     InvariantElement,
     PrimitiveDiagram,
     compose,
@@ -37,7 +39,7 @@ from birdtracks.errors import (
     NotProportional,
     OutOfRange,
 )
-from birdtracks.numeric import ExactTensor, evaluate
+from birdtracks.numeric import DENSE_CAP, ExactTensor, evaluate, integer_entries
 from birdtracks.symmetrizers import antisymmetrizer
 from birdtracks.tracebasis import adjoint_pair_diagram, pair_singlet_projector
 
@@ -190,6 +192,31 @@ def test_transient_projector_baryon_case():
 def test_transient_projector_spot_check_with_generic_pairs():
     proj = transient_singlet_projector(TransientParams(1, 0, 1, 3), 3)
     assert evaluate(proj, 3).trace() == 1
+
+
+def test_every_small_transient_projector_is_an_invariant_projector():
+    # every layout of Mixed(m, n), m, n <= 6, at N = 2, 3 whose projector
+    # on Mixed(alpha, alpha) is small enough to realize densely
+    layouts = [(params, n_param) for n_param in (2, 3)
+               for m in range(7) for n in range(7)
+               for params in transient_singlet_params(m, n, n_param)
+               if n_param ** (4 * params.alpha) <= DENSE_CAP]
+    assert len(layouts) == 30
+    for params, n_param in layouts:
+        proj = transient_singlet_projector(params, n_param)
+        assert evaluate(proj, n_param).trace() == 1, params
+        assert compose(proj, proj) == proj, params
+        # as check_unitary_invariance: every sl(N) generator kills it
+        ket = proj.bend()
+        _, entries = integer_entries(ket, n_param)
+        generators = [{(a, b): 1} for a in range(n_param)
+                      for b in range(n_param) if a != b]
+        generators += [{(a, a): 1, (a + 1, a + 1): -1}
+                       for a in range(n_param - 1)]
+        for x in generators:
+            legs = [x if o == FUND else _dual(x)
+                    for o in ket.sig.orientations]
+            assert not _lie_action(entries, legs), (params, n_param)
 
 
 def test_transient_projector_rejects_generic_layout():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from birdtracks import singlets
+from birdtracks.checks import _flattened_rank
 from birdtracks.coefficients import RadicalCoefficient, rf, sqrt
 from birdtracks.diagrams import (
     compose,
@@ -19,6 +20,7 @@ from birdtracks.numeric import (
     apply_per_leg,
     evaluate,
     evaluate_float,
+    exact_rank,
     sample_special_unitary,
 )
 from birdtracks.singlets import (
@@ -33,7 +35,12 @@ from birdtracks.singlets import (
     singlet_table,
 )
 from birdtracks.symmetrizers import antisymmetrizer, builtin_orthogonal_basis, symmetrizer
-from birdtracks.tracebasis import pair_singlet_projector, trace_basis_state
+from birdtracks.tracebasis import (
+    derangement_block,
+    pair_singlet_projector,
+    raw_trace_states,
+    trace_basis_state,
+)
 
 
 def rc(num, den=(1,)):
@@ -282,6 +289,27 @@ def test_trace_counts_at_k5_match_hook_lengths():
     assert [_hook_length_count(5, n) for n in range(1, 9)] == want
     for n in range(1, 9):
         assert singlet_count(5, n, "trace") == want[n - 1], n
+
+
+@pytest.mark.parametrize("k, ns", [(4, range(1, 6)), (5, (1, 2))])
+def test_trace_counts_match_the_flattened_state_rank(k, ns):
+    # the dense oracle: the rank of the k! trace states as integer rows
+    states = raw_trace_states(k)
+    for n in ns:
+        assert singlet_count(k, n, "trace") == _flattened_rank(states, n), n
+
+
+@pytest.mark.parametrize("s", [2, 3, 4, 5])
+def test_derangement_block_ranks_invert_the_hook_length_counts(s):
+    # 1 + sum_s C(k, s) rank D_s(n) = M_k(n), so by binomial inversion
+    # rank D_s(n) = sum_j (-1)^(s-j) C(s, j) M_j(n)
+    _, entries, rows = derangement_block(s)
+    for n in range(1, 9):
+        values = [entry.eval_at(n) for entry in entries]
+        rank = exact_rank([[values[j] for j in row] for row in rows])
+        want = sum((-1) ** (s - j) * math.comb(s, j) * _hook_length_count(j, n)
+                   for j in range(s + 1))
+        assert rank == want, n
 
 
 def test_pole_check_precedes_and_survives_the_cached_gram():

@@ -311,6 +311,20 @@ def test_derangement_states_count_and_annihilation():
     assert compose(pair_singlet_projector(2, 1), derangement_states(2)[0]).is_zero()
 
 
+def test_trace_state_denominators_are_monomials():
+    # every coefficient is a product of weights c (-1/N)^j, so it is
+    # rational over c N^j, which no integer N >= 1 makes vanish; the trace
+    # route of singlet_count relies on this and takes no pole check
+    states = [state for k in range(1, 6) for state in raw_trace_states(k)]
+    states += derangement_states(6)
+    coefficients = [c for state in states for c in state.terms.values()]
+    assert len(coefficients) == 11787
+    for c in coefficients:
+        assert c.is_rational()
+        den = c.rational_part().den
+        assert not any(den[:-1]), den
+
+
 def test_pair_singlet_projector():
     p = pair_singlet_projector()
     assert compose(p, p) == p
