@@ -186,6 +186,14 @@ class PrimitiveDiagram(_Record):
         return _ket_matching(self.sig.orientations, self.perm)
 
 
+def _diagram(sig: Signature, perm: tuple[int, ...]) -> PrimitiveDiagram:
+    """The diagram of a perm tuple that is a permutation by construction."""
+    diag = object.__new__(PrimitiveDiagram)
+    object.__setattr__(diag, "sig", sig)
+    object.__setattr__(diag, "perm", perm)
+    return diag
+
+
 @lru_cache(maxsize=1 << 14)
 def _operator_matching(orients: str,
                        perm: tuple[int, ...]) -> Mapping[int, int]:
@@ -386,7 +394,7 @@ class InvariantElement:
             raise SignatureMismatch("dagger is defined on operators")
         out = {}
         for diag, coeff in self.terms.items():
-            flipped = PrimitiveDiagram(self.sig, _perm_inverse(diag.perm))
+            flipped = _diagram(self.sig, _perm_inverse(diag.perm))
             out[flipped] = coeff  # coefficients are real
         return InvariantElement(self.sig, out)
 
@@ -422,7 +430,7 @@ class InvariantElement:
             free, loops = _glue(diag.matching(), joins)
             reduced = {new_of_old[e]: new_of_old[f] for e, f in free.items()}
             perm = _matching_to_op_perm(new_sig.orientations, reduced)
-            out.append((PrimitiveDiagram(new_sig, perm),
+            out.append((_diagram(new_sig, perm),
                         coeff * _n_power(loops)))
         return _collect(new_sig, out)
 
@@ -450,7 +458,7 @@ class InvariantElement:
         for diag, coeff in self.terms.items():
             pairs = diag.matching()
             perm = tuple(slot[pairs[e]] for e in order[k:])
-            terms[PrimitiveDiagram(sig, perm)] = coeff
+            terms[_diagram(sig, perm)] = coeff
         return InvariantElement(sig, terms)
 
     # -- serialization --------------------------------------------------------
@@ -576,7 +584,7 @@ def compose(a: InvariantElement, b: InvariantElement) -> InvariantElement:
                 perm = to_perm(orients, {e % (2 * k): f % (2 * k)
                                          for e, f in free.items()})
                 term = ca * cb * _n_power(loops) if loops else ca * cb
-                yield PrimitiveDiagram(b.sig, perm), term
+                yield _diagram(b.sig, perm), term
 
     # an operator b has a's signature; a ket b keeps its own
     return _collect(b.sig, terms())
@@ -624,7 +632,8 @@ def _gram_form(ket: InvariantElement):
 
     A list of (radicand, den, rows), rows holding one
     (perm, inverse perm, num) per diagram: the multiplier of sqrt(radicand)
-    on that diagram is num / den.  Built once and kept on the ket.
+    on that diagram is num / den.  Built once and kept on the ket, or
+    attached by tracebasis._trace_state as it builds the ket.
     """
     form = ket._gram
     if form is not None:
@@ -693,7 +702,7 @@ def tensor(a: InvariantElement, b: InvariantElement) -> InvariantElement:
     # b's entries count past a's levels (operators) or fundamental legs (kets)
     offset = a.sig.n_slots if a.sig.is_operator() else a.sig.n_fund
     return _collect(sig, (
-        (PrimitiveDiagram(sig, da.perm + tuple(p + offset for p in db.perm)),
+        (_diagram(sig, da.perm + tuple(p + offset for p in db.perm)),
          ca * cb)
         for da, ca in a.terms.items() for db, cb in b.terms.items()))
 
@@ -713,7 +722,7 @@ def ketbra(ket: InvariantElement, bra_ket: InvariantElement) -> InvariantElement
         for mv, cv in bra_items:
             perm = tuple(mv[a] if o == FUND else mu[a]
                          for a, o in enumerate(orients))
-            terms[PrimitiveDiagram(sig, perm)] = cu * cv
+            terms[_diagram(sig, perm)] = cu * cv
     return InvariantElement(sig, terms)
 
 

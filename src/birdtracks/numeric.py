@@ -211,11 +211,13 @@ def exact_rank(rows: Sequence[Sequence[Fraction]]) -> int:
 def _integer_row(row: Sequence) -> dict[int, int]:
     """{column: entry} of a rational row's nonzero entries, scaled to
     coprime integers."""
-    cells = {c: x if isinstance(x, (int, Fraction)) else Fraction(x)
-             for c, x in enumerate(row) if x}
-    scale = math.lcm(*(x.denominator for x in cells.values()))
-    cells = {c: x.numerator * (scale // x.denominator)
-             for c, x in cells.items()}
+    cells = {c: x for c, x in enumerate(row) if x}
+    if any(type(x) is not int for x in cells.values()):
+        cells = {c: x if isinstance(x, (int, Fraction)) else Fraction(x)
+                 for c, x in cells.items()}
+        scale = math.lcm(*(x.denominator for x in cells.values()))
+        cells = {c: int(x.numerator) * (scale // int(x.denominator))
+                 for c, x in cells.items()}
     content = math.gcd(*cells.values())
     if content > 1:
         cells = {c: x // content for c, x in cells.items()}

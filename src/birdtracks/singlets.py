@@ -235,10 +235,12 @@ def singlet_count(k: int, n: int, source: str = "trace") -> int:
     N^(k-s) D_s (see derangement_block), so the trace count is
     1 + sum_{s=2..k} C(k, s) rank D_s(n): the identity state, then the
     derangement states on s points.  Each distinct entry of D_s is
-    evaluated once at n and placed by derangement_block's index rows;
-    the k! trace states are never built.  Only an orthogonal source can
-    have a pole at n, since a trace-state coefficient is a product of
-    weights c (-1/N)^j; a source state with a coefficient that has a
+    evaluated once at n, as an integer over the lcm of the block's
+    denominators, and placed by derangement_block's index rows; the k!
+    trace states are never built.  Only an orthogonal source can have a
+    pole at n: a trace-state coefficient is a product of weights
+    c (-1/N)^j, so every denominator on the trace route is c N^j, which
+    is never 0 at n >= 1.  A source state with a coefficient that has a
     pole at n does not specialize, and raises PoleAtN.
     """
     k, n = integer(k, "k", 1), integer(n, "N", 1)
@@ -251,7 +253,9 @@ def singlet_count(k: int, n: int, source: str = "trace") -> int:
     count = 1
     for s in range(2, k + 1):
         _, entries, rows = derangement_block(s)
-        values = [entry.eval_at(n) for entry in entries]
+        scale = math.lcm(*(_p_eval(e.den, n) for e in entries))
+        values = [_p_eval(e.num, n) * scale // _p_eval(e.den, n)
+                  for e in entries]
         count += math.comb(k, s) * exact_rank([[values[j] for j in row]
                                                for row in rows])
     return count

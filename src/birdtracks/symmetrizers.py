@@ -19,9 +19,9 @@ from .coefficients import (
 )
 from .diagrams import (
     InvariantElement,
-    PrimitiveDiagram,
     Signature,
     _Record,
+    _diagram,
     _perm_sign,
     compose,
     identity,
@@ -91,7 +91,7 @@ def _embedded_sum(slots: Sequence[int], total: int,
         for src, dst in zip(slots, image):
             perm[src - 1] = dst - 1
         coeff = -weight if signed and _perm_sign(perm) < 0 else weight
-        terms[PrimitiveDiagram(sig, tuple(perm))] = coeff
+        terms[_diagram(sig, tuple(perm))] = coeff
     return InvariantElement(sig, terms)
 
 

@@ -20,6 +20,7 @@ from .coefficients import (
     _RF_N,
     _RF_ONE,
     _RF_ZERO,
+    _UNIT_KEY,
     _p_add,
     _p_exquo,
     _p_lcm,
@@ -28,14 +29,14 @@ from .coefficients import (
 )
 from .diagrams import (
     InvariantElement,
-    PrimitiveDiagram,
     _Record,
-    _collect,
     _conjugate,
     _cycle_entries,
     _cycles,
+    _diagram,
     _gram_form,
     _one_line,
+    _perm_inverse,
     _permutation,
     identity,
     inner_product,
@@ -98,36 +99,29 @@ class CycleDecomposition(_Record):
         return f"CycleDecomposition({self.to_text()!r}, k={self.k})"
 
 
-def _neg_inv_n_power(j: int) -> RationalFunction:
-    # (-1/N)^j, already in canonical form
-    return RationalFunction(((-1) ** j,), (0,) * j + (1,), _reduced=True)
-
-
 def _cycle_terms(cycle: tuple[int, ...]):
     """Delta-diagram expansion of one generator trace cycle.
 
-    Returns (partial pair-map, rational weight) terms.  The map sends each
-    pair label of the cycle to the pair label its antifundamental leg
-    connects to on the fundamental side; unlisted connections are within
-    the pair itself.
+    Returns (partial pair-map, c, j) terms, each of weight c (-1/N)^j
+    with ints c and j.  The map sends each pair label of the cycle to the
+    pair label its antifundamental leg connects to on the fundamental
+    side; unlisted connections are within the pair itself.
 
     A length-l cycle expands, after Fierz elimination of the l adjoint
     lines, into one term per subset of at least two pairs threaded in the
-    cycle's own cyclic order with weight (-1/N)^(l-|subset|), the removed
-    pairs closing into deltas, plus (l-1)(-1/N)^(l-1) times all deltas.
+    cycle's own cyclic order, with c = 1 and j = l - |subset|, the
+    removed pairs closing into deltas, plus all deltas with c = j = l - 1.
+    These 2^l - l maps are distinct.
     """
     ell = len(cycle)
     terms = []
     for size in range(2, ell + 1):
-        weight = _neg_inv_n_power(ell - size)
         for subset in itertools.combinations(cycle, size):
             part = {p: p for p in cycle}
             for i, p in enumerate(subset):
                 part[p] = subset[(i + 1) % size]
-            terms.append((part, weight))
-    all_deltas = {p: p for p in cycle}
-    terms.append((all_deltas, _neg_inv_n_power(ell - 1)
-                  * RationalFunction((ell - 1,), _ONE, _reduced=True)))
+            terms.append((part, 1, ell - size))
+    terms.append(({p: p for p in cycle}, ell - 1, ell - 1))
     return terms
 
 
@@ -146,21 +140,40 @@ def trace_basis_state(rho) -> InvariantElement:
 
 
 def _trace_state(perm: tuple[int, ...]) -> InvariantElement:
-    """trace_basis_state of a 0-based one-line permutation."""
+    """trace_basis_state of a 0-based one-line permutation.
+
+    Each term takes one _cycle_terms term per cycle (a fixed point's is
+    c = 1, j = 0) and multiplies their weights in ints: the c's multiply,
+    the j's add.  Cycles touch distinct pairs, so no two terms merge.  The
+    Gram form is attached in the same pass: over N^J, J = k - (number of
+    cycles) being the largest j, weight c (-1/N)^j has numerator
+    (-1)^j c N^(J-j).  Terms of one weight share one coefficient.
+    """
     k = len(perm)
     sig = ket_signature(k, k)
-    per_cycle = [[({c[0]: c[0]}, _RF_ONE)] if len(c) == 1 else _cycle_terms(c)
+    per_cycle = [[({c[0]: c[0]}, 1, 0)] if len(c) == 1 else _cycle_terms(c)
                  for c in _cycles(perm)]
-    out = []
+    top = k - len(per_cycle)  # the largest j
+    weights = {}  # (c, j) -> (coefficient, Gram-form numerator)
+    terms, rows = {}, []
     for combo in itertools.product(*per_cycle):
         links = {}
-        weight = _RF_ONE
-        for part, w in combo:
+        c, j = 1, 0
+        for part, c_part, j_part in combo:
             links.update(part)
-            weight = weight * w
-        out.append((PrimitiveDiagram(sig, tuple(links[p] for p in range(k))),
-                    RadicalCoefficient.from_rational(weight)))
-    return _collect(sig, out)
+            c *= c_part
+            j += j_part
+        if (c, j) not in weights:
+            num = (-c if j % 2 else c,)
+            weights[c, j] = (RadicalCoefficient.from_rational(RationalFunction(
+                num, (0,) * j + (1,), _reduced=True)), (0,) * (top - j) + num)
+        coeff, num = weights[c, j]
+        image = tuple(links[p] for p in range(k))
+        terms[_diagram(sig, image)] = coeff
+        rows.append((image, _perm_inverse(image), num))
+    state = InvariantElement(sig, terms)
+    object.__setattr__(state, "_gram", [(_UNIT_KEY, (0,) * top + (1,), rows)])
+    return state
 
 
 def pair_singlet_projector(k: int = 1, pair: int = 1) -> InvariantElement:

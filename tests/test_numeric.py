@@ -348,19 +348,29 @@ def test_exact_tensor_mode_guards():
 # -- exact rank against sympy -------------------------------------------------
 
 @st.composite
-def sparse_rational_matrices(draw):
-    """Mostly-zero rational matrices, often wide, with some dependent rows."""
+def sparse_rational_matrices(draw, integral=False):
+    """Mostly-zero rational matrices, often wide, with some dependent rows.
+
+    With integral, every cell is a plain int.
+    """
     n_rows = draw(st.integers(1, 5))
     n_cols = draw(st.integers(1, 14))
-    # small fractions, plain ints, and fractions with parts above 2^64;
-    # a row may mix all three
-    value = st.one_of(
-        st.fractions(-4, 4, max_denominator=5),
-        st.integers(-4, 4),
-        st.builds(Fraction, st.integers(-2 ** 70, 2 ** 70),
-                  st.integers(1, 2 ** 66)))
+    if integral:
+        # small ints and ints above 2^64
+        value = st.one_of(st.integers(-4, 4),
+                          st.integers(-2 ** 70, 2 ** 70))
+        zero = 0
+    else:
+        # small fractions, plain ints, and fractions with parts above
+        # 2^64; a row may mix all three
+        value = st.one_of(
+            st.fractions(-4, 4, max_denominator=5),
+            st.integers(-4, 4),
+            st.builds(Fraction, st.integers(-2 ** 70, 2 ** 70),
+                      st.integers(1, 2 ** 66)))
+        zero = Fraction(0)
     # two zero branches: about two cells in three are zero
-    cell = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), value)
+    cell = st.one_of(st.just(zero), st.just(zero), value)
     rows = draw(st.lists(st.lists(cell, min_size=n_cols, max_size=n_cols),
                          min_size=n_rows, max_size=n_rows))
     for _ in range(draw(st.integers(0, 3))):
@@ -377,6 +387,37 @@ def test_exact_rank_matches_sympy(rows):
                           for x in row] for row in rows]).rank()
     assert exact_rank(rows) == want
     assert exact_rank([list(col) for col in zip(*rows)]) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_rational_matrices(integral=True))
+def test_exact_rank_of_int_rows_matches_sympy(rows):
+    assert all(type(x) is int for row in rows for x in row)
+    want = sympy.Matrix(rows).rank()
+    assert exact_rank(rows) == want
+    assert exact_rank([list(col) for col in zip(*rows)]) == want
+
+
+@pytest.mark.parametrize("rows", [
+    [[1, 0, 1, 1], [0, 1, 1, 0], [1, 1, 0, 1], [0, 0, 0, 0]],
+    [[1, 1, 0], [0, 1, 1], [1, 0, -1]],
+    [[2, -4, 6], [-1, 2, -3], [0, 0, 0]],
+    [[0, 2 ** 40, 3], [5, 0, 7], [10, 2 ** 41, 20], [1, 1, 1]],
+    # eliminating these overflows int64
+    [[2 ** 32, 0, 1], [1, 2 ** 32, 0], [0, 1, 2 ** 32]],
+])
+def test_exact_rank_reads_int64_bool_and_fraction_rows_like_ints(rows):
+    want = exact_rank(rows)
+    assert want == sympy.Matrix(rows).rank()
+    assert exact_rank(np.array(rows, dtype=np.int64)) == want
+    assert exact_rank([[np.int64(x) for x in row] for row in rows]) == want
+    assert exact_rank([[Fraction(x) for x in row] for row in rows]) == want
+    if all(x in (0, 1) for row in rows for x in row):
+        assert exact_rank([[bool(x) for x in row] for row in rows]) == want
+    # a row may mix plain ints with the other kinds
+    mixed = [[kind(x) for kind, x in zip((int, np.int64, Fraction) * 2, row)]
+             for row in rows]
+    assert exact_rank(mixed) == want
 
 
 # -- diagram algebra against dense exact contraction --------------------------

@@ -291,6 +291,12 @@ def test_trace_counts_at_k5_match_hook_lengths():
         assert singlet_count(5, n, "trace") == want[n - 1], n
 
 
+def test_trace_counts_at_k6_evaluate_d5_and_d6_in_integers():
+    # the first two hook-length counts at k = 6; n = 2 ranks D_6(2)
+    assert [_hook_length_count(6, n) for n in (1, 2)] == [1, 132]
+    assert [singlet_count(6, n, "trace") for n in (1, 2)] == [1, 132]
+
+
 @pytest.mark.parametrize("k, ns", [(4, range(1, 6)), (5, (1, 2))])
 def test_trace_counts_match_the_flattened_state_rank(k, ns):
     # the dense oracle: the rank of the k! trace states as integer rows

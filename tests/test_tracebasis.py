@@ -1,14 +1,17 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from birdtracks import tracebasis
+from birdtracks import coefficients, tracebasis
 from birdtracks.coefficients import RadicalCoefficient, rf
 from birdtracks.diagrams import (
+    InvariantElement,
     Signature,
+    _gram_form,
     compose,
     identity,
     inner_product,
@@ -323,6 +326,46 @@ def test_trace_state_denominators_are_monomials():
         assert c.is_rational()
         den = c.rational_part().den
         assert not any(den[:-1]), den
+
+
+def _perm_forms(form):
+    # a Gram form as {(radicand, perm): (num, den)}, with the inverse
+    # perm checked on the way
+    out = {}
+    for key, den, rows in form:
+        for perm, inverse, num in rows:
+            assert tuple(perm[x] for x in inverse) == tuple(range(len(perm)))
+            out[key, perm] = (num, den)
+    return out
+
+
+def test_trace_states_carry_the_gram_form_of_their_terms():
+    # _trace_state attaches the Gram form as it builds the state; it is
+    # the one _gram_form reads off the terms of an equal fresh element.
+    # A cycle of length l >= 2 expands into 2^l - l distinct maps, so the
+    # state has one term per expansion term: none merge
+    states = [(rho.cycles, state) for k in range(1, 6) for rho, state
+              in zip(all_decompositions(k), raw_trace_states(k))]
+    moved = [rho for rho in all_decompositions(6)
+             if all(len(c) > 1 for c in rho.cycles)]
+    states += zip((rho.cycles for rho in moved), derangement_states(6))
+    assert len(states) == 153 + 265
+    for cycles, state in states:
+        assert state._gram is not None
+        fresh = _gram_form(InvariantElement(state.sig, dict(state.terms)))
+        assert _perm_forms(state._gram) == _perm_forms(fresh), cycles
+        assert state.n_terms() == math.prod(2 ** len(c) - len(c)
+                                            for c in cycles if len(c) > 1)
+
+
+def test_trace_states_build_without_rational_function_arithmetic(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a trace state multiplied or added over Q(N)")
+
+    monkeypatch.setattr(coefficients, "_rf_mul", refuse)
+    monkeypatch.setattr(coefficients, "_rf_add", refuse)
+    assert len(raw_trace_states(4)) == 24
+    assert len(derangement_states(5)) == 44
 
 
 def test_pair_singlet_projector():
