@@ -11,8 +11,8 @@ identities carry a rational 1/N! per pair and no phase at all.
 from __future__ import annotations
 
 import itertools
-import math
 from fractions import Fraction
+from functools import reduce
 
 from .coefficients import rf
 from .diagrams import (
@@ -33,9 +33,9 @@ from .errors import (
 from .numeric import (
     DENSE_CAP,
     ExactTensor,
+    _check_cap,
     evaluate,
     integer_entries,
-    sample_special_linear,
 )
 from .singlets import singlet_projector
 from .symmetrizers import (
@@ -227,47 +227,52 @@ def _mat_mul(a, b):
     return out
 
 
+def _swallow_columns(t: ExactTensor, columns) -> ExactTensor:
+    """Contract each column of N - 1 axes of t into an epsilon, in turn.
+
+    Columns name t's own axes, in epsilon index order.  The fresh leg of
+    a column takes the place of the column's first axis, and every other
+    axis keeps its order.
+    """
+    labels = list(range(len(t.shape)))
+    for column in columns:
+        front = [labels.index(axis) for axis in column]
+        rest = [pos for pos in range(len(labels)) if pos not in front]
+        t, _ = leibniz_translate(t.permuted(front + rest), 1)
+        labels = [column[0]] + [labels[pos] for pos in rest]
+    return t.permuted(sorted(range(len(labels)), key=labels.__getitem__))
+
+
 def lr_pair_projector(kind: str, n_param: int) -> ExactTensor:
     """The singlet or adjoint projector on V x V*, built the long way.
 
     Starts from the N-strand projector whose shape column-reduces to the
     requested irrep: the full antisymmetric column for the singlet, and
-    for the adjoint the hermitian form (2(N-1)/N) S12 A(1,3..N) S12 of
-    the one-row-of-two projector.  Both sides then have their column legs
-    swallowed by an epsilon, the completed pair pays its 1/N!, and the
-    leftover rational scale is pinned by squaring, since the result must
-    be idempotent (for the singlet seed that scale works out to N).  Axes
-    run (fund out, anti out, fund in, anti in); the results agree with
-    the Fierz forms (1/N) trace-pair and identity - (1/N) trace-pair.
+    for the adjoint the hermitian form (2(N-1)/N) S12 A(2..N) S12 of
+    the one-row-of-two projector (S12 absorbs the swap of levels 1 and
+    2, so this is S12 A(1,3..N) S12).  Both sides then have their legs
+    2..N swallowed by an epsilon, the completed pair pays its 1/N!, and
+    the leftover rational scale is pinned by squaring, since the result
+    must be idempotent (for the singlet seed that scale works out to N).
+    Axes run (fund out, anti out, fund in, anti in); the results agree
+    with the Fierz forms (1/N) trace-pair and identity - (1/N) trace-pair.
 
     The seed's integer entries are translated and squared in integers:
     its denominator and the 1/N! are one positive factor c, and with M
     the integer matrix, M / c squares to a multiple of itself iff M does,
     and then the projector is M / scale for M^2 = scale * M.
     """
-    n_param = integer(n_param, "N", 2)
+    n = integer(n_param, "N", 2)
     if kind == "singlet":
-        seed = antisymmetrizer(range(1, n_param + 1), n_param)
-        column = tuple(range(2, n_param + 1))
+        seed = antisymmetrizer(range(1, n + 1), n)
     elif kind == "adjoint":
-        column = (1,) + tuple(range(3, n_param + 1))
-        sym = symmetrizer([1, 2], n_param)
-        seed = compose(compose(sym, antisymmetrizer(column, n_param)), sym)
-        seed = seed.scaled(rf([2 * (n_param - 1)]) / rf([n_param]))
+        sym = symmetrizer([1, 2], n)
+        seed = compose(compose(sym, antisymmetrizer(range(2, n + 1), n)), sym)
+        seed = seed.scaled(rf([2 * (n - 1)]) / rf([n]))
     else:
         raise OutOfRange(f"unknown projector kind {kind!r}")
-    n = n_param
-    out_block = tuple(level - 1 for level in column)
-    kept = next(a for a in range(n) if a not in out_block)
     t = ExactTensor((n,) * (2 * n), entries=integer_entries(seed, n)[1])
-    # swallow the output column: one fresh antifundamental-out leg
-    t, _ = leibniz_translate(
-        t.permuted(out_block + (kept,) + tuple(range(n, 2 * n))), 1)
-    # axes now: anti-out, fund-out, then the n input axes in order
-    t, _ = leibniz_translate(
-        t.permuted(tuple(2 + a for a in out_block) + (0, 1, 2 + kept)), 1)
-    # axes now: anti-in, anti-out, fund-out, fund-in
-    raw = t.permuted((2, 1, 3, 0))
+    raw = _swallow_columns(t, [range(1, n), range(n + 1, 2 * n)])
     mat = raw.matrix_rows(2)
     square = _mat_mul(mat, mat)
     # scale = p / x at the first nonzero entry x of M, p its square's entry
@@ -284,100 +289,71 @@ def lr_pair_projector(kind: str, n_param: int) -> ExactTensor:
         key: Fraction(val * x, p) for key, val in raw.entries.items()})
 
 
+def _transient_operator(params: TransientParams, n_param: int):
+    """The a + b antisymmetrizers on N - 1 levels (the translated
+    epsilons), tensored with the identity on the k generic pairs."""
+    if (params.a + params.b) * (n_param - 1) + params.k != params.alpha:
+        raise OutOfRange(f"alpha of {params} is inconsistent at N={n_param}")
+    blocks = ([antisymmetrizer(range(1, n_param), n_param - 1)]
+              * (params.a + params.b))
+    if params.k:
+        blocks.append(identity(operator_signature(params.k, 0)))
+    return reduce(tensor, blocks)
+
+
 def transient_singlet_projector(params: TransientParams, n_param: int):
     """The canonical balanced singlet projector for one parameter set.
 
-    Tensors the a + b antisymmetrizers on N - 1 levels (the translated
-    epsilons) with the identity on the k generic pairs, bends that
-    operator into the ket s on Mixed(alpha, alpha), and returns the
-    expanded projector |s><s| / <s|s>.  Symbolic in N; evaluate it at
-    n_param to get the numeric projector whose trace is exactly 1.
+    The expanded |s><s| / <s|s> of the transient operator's ket s on
+    Mixed(alpha, alpha).  Symbolic in N; evaluated at n_param, its trace
+    is exactly 1.
     """
     n_param = integer(n_param, "N", 2)
-    if (params.a + params.b) * (n_param - 1) + params.k != params.alpha:
-        raise OutOfRange(f"alpha of {params} is inconsistent at N={n_param}")
-    blocks = [antisymmetrizer(range(1, n_param), n_param - 1)
-              for _ in range(params.a + params.b)]
-    if params.k:
-        blocks.append(identity(operator_signature(params.k, 0)))
-    operator = blocks[0]
-    for extra in blocks[1:]:
-        operator = tensor(operator, extra)
-    return singlet_projector(operator).expand()
+    return singlet_projector(_transient_operator(params, n_param)).expand()
 
 
-def baryon_equivalence_report(n_param: int = 3) -> dict[str, bool]:
-    """Leg-by-leg record of the 3-quark vs 2-quark-2-antiquark match.
+def translated_singlet_ket(params: TransientParams,
+                           n_param: int) -> tuple[int, dict]:
+    """The transient singlet of one layout, translated onto Mixed(m, n).
 
-    The three-quark epsilon singlet only has a balanced partner where the
-    transient parameters allow one, which pins N = 3; at any other N the
-    report is all-false (at N = 4 the would-be partner is the
-    4-dimensional three-box column, not a singlet).
+    Swallows one column of N - 1 legs of the transient ket per epsilon
+    block: an a block's antifundamental legs become one fundamental leg,
+    a b block's fundamental legs one antifundamental leg; the k pairs
+    stay.  Legs run: every a block's own N - 1 legs, the k pair legs,
+    each a block's new leg (m fundamental); each b block's new leg, every
+    b block's own N - 1 legs, the k pair legs (n antifundamental).  The
+    ket comes as integer_entries gives one, (den, {index: num}), at
+    N = n_param; it is SU(N) invariant, and U(1) acts as det^(a - b).
     """
     n_param = integer(n_param, "N", 2)
-    legs = {
-        "transient_exists": False,
-        "pairing_matches_antisymmetrizer": False,
-        "untwisted_variant_matches": False,
-        "correlator_coincidence": False,
-    }
-    params = transient_singlet_params(3, 0, n_param)
-    legs["transient_exists"] = any(
-        p.a == 1 and p.b == 0 and p.k == 0 and p.alpha == n_param - 1
-        for p in params)
-    if not legs["transient_exists"]:
-        return legs
-    state = antisymmetrizer([1, 2], 2).bend()
-    st = evaluate(state, 3)
-
-    def eps_paired(anti_order):
-        # feed the two antifundamental legs to the epsilon in this order;
-        # the leftover epsilon index is the recovered third quark line
-        y, _ = leibniz_translate(st.permuted(anti_order + (0, 1)), 1)
-        paired: dict[tuple, Fraction] = {}
-        for ka, va in y.entries.items():
-            for kb, vb in y.entries.items():
-                key = (ka[1], ka[2], ka[0], kb[1], kb[2], kb[0])
-                paired[key] = paired.get(key, 0) + va * vb
-        sixth = Fraction(1, 6)
-        return ExactTensor((3,) * 6, entries={
-            key: val * sixth for key, val in paired.items()})
-
-    target = evaluate(antisymmetrizer([1, 2, 3], 3), 3)
-    main = eps_paired((2, 3))
-    legs["pairing_matches_antisymmetrizer"] = main == target
-    # untwisting the diquark line transposes the epsilon legs on both
-    # sides; each side flips sign, so the pairing is untouched
-    legs["untwisted_variant_matches"] = eps_paired((3, 2)) == main
-
-    # the correlators on SU(3): three = eps eps u1 u2 u3 and, over the
-    # pair state, balanced = <s| u1 u2 conj(u3) conj(u3) |s>.  With
-    # conj(u3) read as u3^-T, which it is on unitaries, both are
-    # polynomials in the entries of u1, u2, u3; SU(3) is Zariski dense in
-    # SL(3, C), so an integer g in SL(3, Z) that breaks
-    # three / 6 == balanced / <s|s> breaks it on SU(3) too.  Tested
-    # exactly, cleared of its denominators.
-    eps = {p: int(v) for p, v in epsilon_tensor(3).entries.items()}
-    _, s = integer_entries(state, 3)
-    norm = sum(v * v for v in s.values())
-    ok = True
-    for trial in range(10):
-        (u1, _), (u2, _), (u3, u3_inv_t) = (
-            sample_special_linear(3, 3 * trial + line) for line in range(3))
-        three = sum(ea * ex * u1[a][x] * u2[b][y] * u3[c][z]
-                    for (a, b, c), ea in eps.items()
-                    for (x, y, z), ex in eps.items())
-        per_leg = (u1, u2, u3_inv_t, u3_inv_t)
-        balanced = sum(si * sj * math.prod(w[p][q] for w, p, q
-                                           in zip(per_leg, i, j))
-                       for i, si in s.items() for j, sj in s.items())
-        if three * norm != 6 * balanced:
-            ok = False
-            break
-    legs["correlator_coincidence"] = ok
-    return legs
+    _check_cap(n_param, 2 * params.alpha)
+    den, nums = integer_entries(
+        _transient_operator(params, n_param).bend(), n_param)
+    alpha, width = params.alpha, n_param - 1
+    # bend puts the alpha fundamental legs first, then their partners
+    starts = ([alpha + i * width for i in range(params.a)]
+              + [i * width for i in range(params.a, params.a + params.b)])
+    columns = [range(start, start + width) for start in starts]
+    t = _swallow_columns(
+        ExactTensor((n_param,) * (2 * alpha), entries=nums), columns)
+    gone = {axis for column in columns for axis in column[1:]}
+    anti = [(axis < alpha) == (axis in starts)
+            for axis in range(2 * alpha) if axis not in gone]
+    order = sorted(range(len(anti)), key=anti.__getitem__)
+    return den, t.permuted(order).entries
 
 
 def verify_baryon_equivalence(n_param: int = 3) -> bool:
-    """True iff every leg of baryon_equivalence_report holds."""
-    return all(baryon_equivalence_report(n_param).values())
+    """True iff Mixed(3, 0) has a transient layout at N = n_param (only
+    N = 3 does) and its translated ket t has |t><t| / <t|t> = A(1, 2, 3).
+    """
+    n_param = integer(n_param, "N", 2)
+    layouts = transient_singlet_params(3, 0, n_param)
+    if not layouts:
+        return False
+    _, ket = translated_singlet_ket(layouts[0], n_param)
+    norm = sum(v * v for v in ket.values())
+    paired = {out + into: Fraction(x * y, norm)
+              for out, x in ket.items() for into, y in ket.items()}
+    want = evaluate(antisymmetrizer([1, 2, 3], n_param), n_param).entries
+    return paired == want

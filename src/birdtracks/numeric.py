@@ -4,11 +4,10 @@ Everything rank- or nullity-shaped runs in exact arithmetic on integers:
 an element at integer N is summed as integer entries over one common
 denominator, and a rank is taken by fraction-free elimination on rows
 scaled to integers.  Group elements come in two kinds: integer matrices
-of SL(N, Z) together with their inverse transposes, which the exact
-checks use, and Haar-sampled unitaries, which only the float functions
-(evaluate_float, the unitary sampler and the correlators) use.  numpy is
-imported inside those float functions only, so exact work never loads
-it.
+of SL(N, Z) together with their inverse transposes, for exact work, and
+Haar-sampled unitaries, which only the float functions (evaluate_float,
+the unitary sampler and the correlators) use.  numpy is imported inside
+those float functions only, so exact work never loads it.
 Index placement: a fundamental leg transforms with U, an antifundamental leg
 with the complex conjugate matrix, so a ket on Mixed(k, k) is invariant
 under U applied to every leg this way.  For unitary U the conjugate is
@@ -213,10 +212,11 @@ def _integer_row(row: Sequence) -> dict[int, int]:
     coprime integers."""
     cells = {c: x for c, x in enumerate(row) if x}
     if any(type(x) is not int for x in cells.values()):
-        cells = {c: x if isinstance(x, (int, Fraction)) else Fraction(x)
+        # numpy scalars (np.bool_ is no Rational) read as Python numbers
+        cells = {c: Fraction(x.item() if hasattr(x, "item") else x)
                  for c, x in cells.items()}
         scale = math.lcm(*(x.denominator for x in cells.values()))
-        cells = {c: int(x.numerator) * (scale // int(x.denominator))
+        cells = {c: x.numerator * (scale // x.denominator)
                  for c, x in cells.items()}
     content = math.gcd(*cells.values())
     if content > 1:

@@ -230,8 +230,11 @@ def singlet_count(k: int, n: int, source: str = "trace") -> int:
     Two routes, by source.  builtin and trace+orthogonalize are
     orthogonal, so their count builds the basis on each call, keeping
     none of it, and counts the norms <i|i> = 1/beta_i that do not vanish
-    at n.  The trace states' Gram matrix is block diagonal by moved set,
-    the block of each of the C(k, s) moved sets with s points being
+    at n.  Each trace+orthogonalize call thus rebuilds
+    normalized_trace_basis(k), about 3 s at k = 5; the trace route
+    answers the same counts from the cached D_s blocks.  The trace
+    states' Gram matrix is block diagonal by moved set, the block of
+    each of the C(k, s) moved sets with s points being
     N^(k-s) D_s (see derangement_block), so the trace count is
     1 + sum_{s=2..k} C(k, s) rank D_s(n): the identity state, then the
     derangement states on s points.  Each distinct entry of D_s is

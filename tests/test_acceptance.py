@@ -24,11 +24,13 @@ from birdtracks.diagrams import (
     permutation_element,
 )
 from birdtracks.epsilon import (
-    baryon_equivalence_report,
+    TransientParams,
     lr_decomposition,
     lr_pair_projector,
     pieri_add_antifundamental,
     shape_dimension,
+    transient_singlet_params,
+    translated_singlet_ket,
     verify_baryon_equivalence,
 )
 from birdtracks.numeric import evaluate
@@ -137,12 +139,16 @@ def test_criterion_6_translated_pair_projectors(capsys):
 
 
 def test_criterion_7_three_quark_equivalence(capsys):
-    report = baryon_equivalence_report(3)
-    ok = (report["transient_exists"]
-          and report["pairing_matches_antisymmetrizer"]
-          and report["untwisted_variant_matches"]
-          and report["correlator_coincidence"]
-          and verify_baryon_equivalence(3))
+    # the one layout of three quarks translates back to a multiple of
+    # the epsilon on their three legs
+    layouts = transient_singlet_params(3, 0, 3)
+    ok = layouts == [TransientParams(1, 0, 0, 2)]
+    if ok:
+        _, ket = translated_singlet_ket(layouts[0], 3)
+        c = ket.get((0, 1, 2), 0)
+        ok = c != 0 and ket == {(0, 1, 2): c, (1, 2, 0): c, (2, 0, 1): c,
+                                (0, 2, 1): -c, (2, 1, 0): -c, (1, 0, 2): -c}
+    ok = ok and verify_baryon_equivalence(3)
     _report(capsys, 7, "three quarks match the balanced pair at N=3", ok)
 
 

@@ -23,7 +23,6 @@ from birdtracks.diagrams import (
 )
 from birdtracks.epsilon import (
     TransientParams,
-    baryon_equivalence_report,
     epsilon_tensor,
     leibniz_translate,
     lr_decomposition,
@@ -32,6 +31,7 @@ from birdtracks.epsilon import (
     shape_dimension,
     transient_singlet_params,
     transient_singlet_projector,
+    translated_singlet_ket,
     verify_baryon_equivalence,
 )
 from birdtracks.errors import (
@@ -187,8 +187,8 @@ INTEGER_ARGUMENTS = [
      OutOfRange, "N"),
     ("transient_singlet_projector-N",
      lambda v: transient_singlet_projector(_BLOCKS, v), 2, OutOfRange, "N"),
-    ("baryon_equivalence_report-N", baryon_equivalence_report, 2, OutOfRange,
-     "N"),
+    ("translated_singlet_ket-N",
+     lambda v: translated_singlet_ket(_BLOCKS, v), 2, OutOfRange, "N"),
     ("verify_baryon_equivalence-N", verify_baryon_equivalence, 2, OutOfRange,
      "N"),
 ]

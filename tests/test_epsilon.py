@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -21,7 +22,6 @@ from birdtracks.diagrams import (
 )
 from birdtracks.epsilon import (
     TransientParams,
-    baryon_equivalence_report,
     epsilon_tensor,
     leibniz_translate,
     lr_decomposition,
@@ -30,6 +30,7 @@ from birdtracks.epsilon import (
     shape_dimension,
     transient_singlet_params,
     transient_singlet_projector,
+    translated_singlet_ket,
     verify_baryon_equivalence,
 )
 from birdtracks.errors import (
@@ -39,7 +40,13 @@ from birdtracks.errors import (
     NotProportional,
     OutOfRange,
 )
-from birdtracks.numeric import DENSE_CAP, ExactTensor, evaluate, integer_entries
+from birdtracks.numeric import (
+    DENSE_CAP,
+    ExactTensor,
+    evaluate,
+    exact_rank,
+    integer_entries,
+)
 from birdtracks.symmetrizers import antisymmetrizer
 from birdtracks.tracebasis import adjoint_pair_diagram, pair_singlet_projector
 
@@ -194,6 +201,13 @@ def test_transient_projector_spot_check_with_generic_pairs():
     assert evaluate(proj, 3).trace() == 1
 
 
+def _sl_generators(n_param):
+    """The E_ab (a != b) and E_aa - E_a+1,a+1, which span sl(N)."""
+    return ([{(a, b): 1} for a in range(n_param) for b in range(n_param)
+             if a != b]
+            + [{(a, a): 1, (a + 1, a + 1): -1} for a in range(n_param - 1)])
+
+
 def test_every_small_transient_projector_is_an_invariant_projector():
     # every layout of Mixed(m, n), m, n <= 6, at N = 2, 3 whose projector
     # on Mixed(alpha, alpha) is small enough to realize densely
@@ -209,11 +223,7 @@ def test_every_small_transient_projector_is_an_invariant_projector():
         # as check_unitary_invariance: every sl(N) generator kills it
         ket = proj.bend()
         _, entries = integer_entries(ket, n_param)
-        generators = [{(a, b): 1} for a in range(n_param)
-                      for b in range(n_param) if a != b]
-        generators += [{(a, a): 1, (a + 1, a + 1): -1}
-                       for a in range(n_param - 1)]
-        for x in generators:
+        for x in _sl_generators(n_param):
             legs = [x if o == FUND else _dual(x)
                     for o in ket.sig.orientations]
             assert not _lie_action(entries, legs), (params, n_param)
@@ -333,36 +343,121 @@ def test_lr_pair_projector_unknown_kind():
         lr_pair_projector("octet", 3)
 
 
+def _small_translated_layouts():
+    # every layout of Mixed(m, n), m, n <= 6, at N = 2, 3 whose transient
+    # ket on Mixed(alpha, alpha) is small enough to realize densely
+    return [(params, n_param, m, n) for n_param in (2, 3)
+            for m in range(7) for n in range(7)
+            for params in transient_singlet_params(m, n, n_param)
+            if n_param ** (2 * params.alpha) <= DENSE_CAP]
+
+
+def test_every_small_translated_ket_is_a_determinant_singlet():
+    layouts = _small_translated_layouts()
+    assert len(layouts) == 52
+    for params, n_param, m, n in layouts:
+        _, ket = translated_singlet_ket(params, n_param)
+        assert ket, params
+        assert all(len(index) == m + n for index in ket), params
+        # every sl(N) generator kills it: X on the m fundamental legs,
+        # -X^T on the n antifundamental ones
+        for x in _sl_generators(n_param):
+            legs = [x] * m + [_dual(x)] * n
+            assert not _lie_action(ket, legs), (params, n_param)
+        # E_00 counts the epsilons: +1 per fundamental one, -1 per
+        # antifundamental one, 0 per pair
+        e00 = {(0, 0): 1}
+        charge = params.a - params.b
+        assert _lie_action(ket, [e00] * m + [_dual(e00)] * n) == {
+            index: charge * v for index, v in ket.items() if charge}
+
+
+def direct_singlet_ket(params, n_param):
+    """eps on each group of N fundamental legs, eps on each group of N
+    antifundamental legs and delta on the k pairs, legs placed as
+    translated_singlet_ket's docstring lists them."""
+    a, b, k, width = params.a, params.b, params.k, n_param - 1
+    m = a * n_param + k
+    groups = ([tuple(range(i * width, (i + 1) * width)) + (a * width + k + i,)
+               for i in range(a)]
+              + [(m + i,) + tuple(range(m + b + i * width,
+                                        m + b + (i + 1) * width))
+                 for i in range(b)])
+    pairs = [(a * width + j, m + b * n_param + j) for j in range(k)]
+    symbols = epsilon_tensor(n_param).entries.items()
+    ket = {}
+    for epsilons in itertools.product(symbols, repeat=a + b):
+        for values in itertools.product(range(n_param), repeat=k):
+            index = [0] * (m + b * n_param + k)
+            for group, (perm, _) in zip(groups, epsilons):
+                for axis, v in zip(group, perm):
+                    index[axis] = v
+            for (fund, anti), v in zip(pairs, values):
+                index[fund] = index[anti] = v
+            ket[tuple(index)] = math.prod(int(s) for _, s in epsilons)
+    return ket
+
+
+def test_translated_ket_is_the_direct_epsilon_ket():
+    for params, n_param, _, _ in _small_translated_layouts():
+        _, ket = translated_singlet_ket(params, n_param)
+        direct = direct_singlet_ket(params, n_param)
+        assert ket and direct, (params, n_param)
+        columns = sorted(ket.keys() | direct.keys())
+        rows = [[vec.get(c, 0) for c in columns] for vec in (ket, direct)]
+        assert exact_rank(rows) == 1, (params, n_param)
+
+
+def test_translated_ket_refuses_work_over_the_dense_cap(monkeypatch):
+    params, = transient_singlet_params(10, 1, 3)
+    assert params == TransientParams(3, 0, 1, 7)
+    assert 3 ** (2 * params.alpha) > DENSE_CAP
+
+    def build(*_):
+        raise AssertionError("built the operator before the cap check")
+
+    monkeypatch.setattr(epsilon, "_transient_operator", build)
+    with pytest.raises(OutOfRange, match="exceeds cap"):
+        translated_singlet_ket(params, 3)
+
+
 def test_baryon_equivalence_holds_at_three():
-    report = baryon_equivalence_report(3)
-    assert report == {
-        "transient_exists": True,
-        "pairing_matches_antisymmetrizer": True,
-        "untwisted_variant_matches": True,
-        "correlator_coincidence": True,
-    }
+    params, = transient_singlet_params(3, 0, 3)
+    _, ket = translated_singlet_ket(params, 3)
+    # the translated three-quark ket is a multiple of epsilon, so its
+    # projector is the antisymmetrizer on three strands
+    c = ket[(0, 1, 2)]
+    assert ket == {perm: c * int(s)
+                   for perm, s in epsilon_tensor(3).entries.items()}
+    norm = sum(v * v for v in ket.values())
+    projector = {out + into: Fraction(x * y, norm)
+                 for out, x in ket.items() for into, y in ket.items()}
+    assert projector == evaluate(antisymmetrizer([1, 2, 3], 3), 3).entries
     assert verify_baryon_equivalence(3)
 
 
-def test_baryon_correlator_needs_the_inverse_transpose(monkeypatch):
-    # g in place of g^-T on the antiquark legs is not conj(U) on SU(3)
-    real = epsilon.sample_special_linear
-    monkeypatch.setattr(epsilon, "sample_special_linear",
-                        lambda n, seed: (real(n, seed)[0],) * 2)
-    report = baryon_equivalence_report(3)
-    assert not report["correlator_coincidence"]
-    assert all(ok for leg, ok in report.items()
-               if leg != "correlator_coincidence")
-    monkeypatch.undo()
-    assert baryon_equivalence_report(3)["correlator_coincidence"]
+def test_baryon_correlator_needs_the_inverse_transpose():
+    # antiquarks take the conjugate: every sl(3) generator X kills the
+    # (1,0,0,2) transient ket on Mixed(2,2) when it acts as -X^T on the
+    # antifundamental legs, and +X^T breaks that
+    ket = epsilon._transient_operator(TransientParams(1, 0, 0, 2), 3).bend()
+    assert ket.sig.orientations == "qqbb"
+    _, entries = integer_entries(ket, 3)
+
+    def transpose(x):
+        return {(c, r): v for (r, c), v in x.items()}
+
+    for anti, killed in ((_dual, True), (transpose, False)):
+        moved = [_lie_action(entries, [x, x, anti(x), anti(x)])
+                 for x in _sl_generators(3)]
+        assert (not any(moved)) is killed
 
 
 def test_baryon_equivalence_fails_off_three():
     # at N=4 the three-box column is binomial(4,3) = 4 dimensional, so the
     # three-quark operator has no singlet partner to be equivalent to
     assert shape_dimension("[1,1,1]", 4) == 4
-    report = baryon_equivalence_report(4)
-    assert not report["transient_exists"]
+    assert transient_singlet_params(3, 0, 4) == []
     assert not verify_baryon_equivalence(4)
 
 

@@ -414,6 +414,7 @@ def test_exact_rank_reads_int64_bool_and_fraction_rows_like_ints(rows):
     assert exact_rank([[Fraction(x) for x in row] for row in rows]) == want
     if all(x in (0, 1) for row in rows for x in row):
         assert exact_rank([[bool(x) for x in row] for row in rows]) == want
+        assert exact_rank(np.array(rows, dtype=bool)) == want
     # a row may mix plain ints with the other kinds
     mixed = [[kind(x) for kind, x in zip((int, np.int64, Fraction) * 2, row)]
              for row in rows]

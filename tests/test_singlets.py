@@ -319,6 +319,8 @@ def test_derangement_block_ranks_invert_the_hook_length_counts(s):
 
 
 def test_pole_check_precedes_and_survives_the_cached_gram():
+    # no cache sits behind this count: each call rebuilds the basis, and
+    # the pole check runs before the count on every call, also a repeat
     with pytest.raises(PoleAtN, match="state 16 .*N=1"):
         singlet_count(4, 1, "trace+orthogonalize")
     assert singlet_count(4, 2, "trace+orthogonalize") == 14
