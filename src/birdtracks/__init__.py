@@ -51,12 +51,9 @@ from .errors import BirdtrackError
 from .checks import CHECKS, run_checks
 from .numeric import (
     ExactTensor,
-    apply_per_leg,
-    correlator_matrix,
     evaluate,
     evaluate_float,
     exact_rank,
-    sample_special_unitary,
 )
 from .singlets import (
     SOURCES,
@@ -111,11 +108,9 @@ __all__ = [
     "adjoint_pair_diagram",
     "all_decompositions",
     "antisymmetrizer",
-    "apply_per_leg",
     "basis_states",
     "builtin_orthogonal_basis",
     "compose",
-    "correlator_matrix",
     "derangement_states",
     "epsilon_tensor",
     "evaluate",
@@ -141,7 +136,6 @@ __all__ = [
     "raw_trace_states",
     "rf",
     "run_checks",
-    "sample_special_unitary",
     "shape_dimension",
     "singlet_basis",
     "singlet_count",

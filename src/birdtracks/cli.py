@@ -14,9 +14,8 @@ them, exit with code 2 and a machine-readable JSON error on stderr; failed
 verification exits with code 1 the same way; success exits with 0.  A
 reader that closes stdout early ends the run with code 1 and no stderr.
 
-Every command but `correlator` is exact, `verify` included: it loads no
-numpy and starts no BLAS threads.  `correlator` imports numpy, whose BLAS
-library may start its own thread pool.
+Every command is exact, `verify` and `correlator` included: none loads
+numpy or starts BLAS threads.
 """
 
 import argparse
@@ -35,7 +34,12 @@ from .epsilon import (
     transient_singlet_params,
 )
 from .errors import BirdtrackError
-from .numeric import correlate, evaluate_float, sample_special_unitary
+from .numeric import (
+    _act_per_leg,
+    _check_cap,
+    integer_entries,
+    sample_special_linear,
+)
 from .singlets import (
     SOURCES,
     _require_finite,
@@ -465,33 +469,33 @@ def _cmd_verify(args):
 
 
 def _cmd_correlator(args):
-    import numpy as np
-
-    vecs = [evaluate_float(s, args.N) for s in raw_trace_states(args.k)]
-    base = correlate(vecs)
+    k, n = args.k, args.N
+    _check_cap(n, 2 * k)
+    states = [integer_entries(s, n) for s in raw_trace_states(k)]
     runs = []
     for seed in range(args.seed, args.seed + args.samples):
-        u = sample_special_unitary(args.N, seed)
-        moved = correlate(vecs, [u] * args.k + [np.conj(u)] * args.k)
-        runs.append((seed, float(np.max(np.abs(moved - base))), moved))
-    worst = max([0.0] + [residual for _, residual, _ in runs])
-    ok = worst <= args.tolerance
-    fail = None if ok else f"residual {worst:.3e} exceeds tolerance"
+        g, h = sample_special_linear(n, seed)
+        legs = [g] * k + [h] * k
+        residual = Fraction(0)
+        for den, entries in states:
+            moved = _act_per_leg(entries, legs)
+            gap = max((abs(moved.get(key, 0) - entries.get(key, 0))
+                       for key in moved.keys() | entries.keys()), default=0)
+            residual = max(residual, Fraction(gap, den))
+        runs.append((seed, residual))
+    worst = max(residual for _, residual in runs)
+    ok = worst == 0
+    fail = None if ok else f"max residual {worst} is not 0"
     if args.format == "json":
-        samples = [{"seed": seed, "residual": residual,
-                    "matrix": [[[float(z.real), float(z.imag)] for z in row]
-                               for row in moved]}
-                   for seed, residual, moved in runs]
-        return {"schema": SCHEMA, "command": "correlator", "k": args.k,
-                "N": args.N, "seed": args.seed, "samples": samples,
-                "max_residual": worst, "tolerance": args.tolerance,
-                "passed": ok}, fail
-    text = [f"correlator invariance for k={args.k} trace states at "
-            f"N={args.N}"]
-    text.extend(f"  seed {seed}: residual {residual:.3e}"
-                for seed, residual, _ in runs)
-    text.append(f"max residual {worst:.3e}, tolerance "
-                f"{args.tolerance:.1e}: {'pass' if ok else 'FAIL'}")
+        return {"schema": SCHEMA, "command": "correlator", "k": k, "N": n,
+                "seed": args.seed,
+                "samples": [{"seed": seed, "residual": str(residual)}
+                            for seed, residual in runs],
+                "max_residual": str(worst), "passed": ok}, fail
+    text = [f"correlator invariance for k={k} trace states at N={n}"]
+    text.extend(f"  seed {seed}: residual {residual}"
+                for seed, residual in runs)
+    text.append(f"max residual {worst}: {'pass' if ok else 'FAIL'}")
     return text, fail
 
 
@@ -547,8 +551,7 @@ def build_parser() -> _Parser:
                "help": "run only this named check (repeatable)"})
     add("correlator", "check sampled group elements fix the trace states",
         no_latex, k=intflag, N=intflag, seed={"type": int, "default": 0},
-        samples={"type": int, "default": 1},
-        tolerance={"type": float, "default": 1e-10})
+        samples={"type": int, "default": 1})
     return parser
 
 
@@ -579,8 +582,6 @@ def _validate(args) -> None:
     if args.command == "correlator":
         at_least("samples", 1)
         at_least("seed", 0)
-        if not args.tolerance > 0:
-            raise ConfigError("--tolerance must be positive")
     if args.output is not None:
         if not args.output:
             raise ConfigError("--output must name a file")

@@ -1,17 +1,15 @@
-"""Exact fixed-N realization of invariant elements, plus float correlators.
+"""Exact fixed-N realization of invariant elements, plus one float evaluation.
 
 Everything rank- or nullity-shaped runs in exact arithmetic on integers:
 an element at integer N is summed as integer entries over one common
 denominator, and a rank is taken by fraction-free elimination on rows
-scaled to integers.  Group elements come in two kinds: integer matrices
-of SL(N, Z) together with their inverse transposes, for exact work, and
-Haar-sampled unitaries, which only the float functions (evaluate_float,
-the unitary sampler and the correlators) use.  numpy is imported inside
-those float functions only, so exact work never loads it.
-Index placement: a fundamental leg transforms with U, an antifundamental leg
-with the complex conjugate matrix, so a ket on Mixed(k, k) is invariant
-under U applied to every leg this way.  For unitary U the conjugate is
-the inverse transpose, which is how an integer g acts on those legs.
+scaled to integers.  Group elements come in one kind: integer matrices
+of SL(N, Z) together with their inverse transposes.  numpy is imported
+inside evaluate_float only, so exact work never loads it.
+Index placement: a fundamental leg transforms with g, an antifundamental
+leg with its inverse transpose, so a ket on Mixed(k, k) is invariant
+under g applied to every leg this way.  For unitary g the inverse
+transpose is the complex conjugate.
 """
 
 from __future__ import annotations
@@ -33,7 +31,10 @@ DENSE_CAP = 10 ** 6
 
 
 class ExactTensor:
-    """A dense-shape tensor of Fraction entries, stored sparsely."""
+    """A dense-shape tensor of exact entries, stored sparsely.
+
+    Entries are ints or Fractions: the Leibniz pipeline stores integers.
+    """
 
     __slots__ = ("shape", "entries")
 
@@ -247,75 +248,20 @@ def sample_special_linear(n: int,
     return g, h
 
 
-def sample_special_unitary(n: int, seed: int) -> np.ndarray:
-    """A deterministic pseudo-random SU(n) matrix for the given seed.
+def _act_per_leg(entries: dict, matrices) -> dict:
+    """Nonzero entries of a tensor with integer matrix i applied to axis i.
 
-    QR of a complex Gaussian sample, phases fixed so R has positive
-    diagonal, then a global phase division to reach det = 1.
+    The tensor is {index: value}; each matrix is a list of integer rows.
     """
-    n, seed = integer(n, "N", 2), integer(seed, "seed", 0)
-    import numpy as np
-
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    q = q * (d / np.abs(d))
-    det = np.linalg.det(q)
-    q = q / det ** (1.0 / n)
-    return q
-
-
-def apply_per_leg(tensor: np.ndarray,
-                  matrices: Sequence[np.ndarray]) -> np.ndarray:
-    """Contract matrix i into axis i of the tensor, for every axis."""
-    import numpy as np
-
-    if len(matrices) != tensor.ndim:
-        raise DimensionMismatch(
-            f"{len(matrices)} matrices for {tensor.ndim} axes")
-    out = tensor
-    for axis, mat in enumerate(matrices):
-        out = np.tensordot(mat, out, axes=([1], [axis]))
-        out = np.moveaxis(out, 0, axis)
-    return out
-
-
-def correlator_matrix(states: Sequence[InvariantElement],
-                      leg_matrices: Sequence[np.ndarray],
-                      n: int) -> np.ndarray:
-    """Entries <state_i| (⊗ per-leg matrices) |state_j> at N = n.
-
-    Fundamental legs expect the sampled U itself, antifundamental legs its
-    complex conjugate; callers pass exactly what each leg should receive.
-    """
-    if states:
-        sig = states[0].sig
-        if sig.is_operator():
-            raise DimensionMismatch("correlator states must be kets")
-        if len(leg_matrices) != sig.n_slots:
-            raise DimensionMismatch(
-                f"{len(leg_matrices)} matrices for {sig.n_slots} legs")
-        if any(s.sig != sig for s in states):
-            raise DimensionMismatch("correlator states on mixed signatures")
-    return correlate([evaluate_float(s, n) for s in states], leg_matrices)
-
-
-def correlate(vecs: Sequence[np.ndarray],
-              leg_matrices: Sequence[np.ndarray] | None = None) -> np.ndarray:
-    """Entries <vec_i| (⊗ per-leg matrices) |vec_j> of dense kets.
-
-    Without leg_matrices this is their Gram matrix, every leg untouched.
-    Evaluating the states once and correlating them under many sets of
-    leg matrices spares re-evaluating them per set.
-    """
-    import numpy as np
-
-    moved = (vecs if leg_matrices is None
-             else [apply_per_leg(v, leg_matrices) for v in vecs])
-    size = len(vecs)
-    out = np.zeros((size, size), dtype=complex)
-    for i in range(size):
-        for j in range(size):
-            out[i, j] = np.sum(np.conj(vecs[i]) * moved[j])
-    return out
+    for axis, matrix in enumerate(matrices):
+        columns = [[(row, x) for row, x in enumerate(col) if x]
+                   for col in zip(*matrix)]
+        out = {}
+        get = out.get
+        for idx, value in entries.items():
+            head, tail = idx[:axis], idx[axis + 1:]
+            for row, x in columns[idx[axis]]:
+                key = head + (row,) + tail
+                out[key] = get(key, 0) + x * value
+        entries = {key: v for key, v in out.items() if v}
+    return entries

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -116,27 +117,47 @@ def test_correlator_reports_residual_per_sample(capsys):
     payload = json.loads(out)
     assert [s["seed"] for s in payload["samples"]] == [3, 4]
     assert payload["passed"] is True
-    assert payload["max_residual"] <= payload["tolerance"]
+    assert [s["residual"] for s in payload["samples"]] == ["0", "0"]
+    assert payload["max_residual"] == "0"
 
 
 def test_correlator_evaluates_each_state_once(capsys, monkeypatch):
     calls = []
-    evaluate = cli.evaluate_float
-    monkeypatch.setattr(cli, "evaluate_float",
-                        lambda state, n: calls.append(n) or evaluate(state, n))
+    entries = cli.integer_entries
+    monkeypatch.setattr(cli, "integer_entries",
+                        lambda state, n: calls.append(n) or entries(state, n))
     code, _, _ = run(capsys, "correlator", "--k", "3", "--N", "3",
                      "--samples", "4")
     assert code == 0
     assert calls == [3] * 6
 
 
-def test_correlator_impossible_tolerance_fails(capsys):
-    code, out, err = run(capsys, "correlator", "--k", "2", "--N", "3",
-                         "--tolerance", "1e-300")
+def test_correlator_without_the_inverse_transpose_fails(capsys, monkeypatch):
+    # g itself on the antifundamental legs moves the trace states
+    sample = cli.sample_special_linear
+    monkeypatch.setattr(cli, "sample_special_linear",
+                        lambda n, seed: (sample(n, seed)[0],) * 2)
+    code, out, err = run(capsys, "correlator", "--k", "2", "--N", "3")
     assert code == 1
-    assert "FAIL" in out
-    blob = json.loads(err)
-    assert blob["error"]["code"] == 1
+    assert out.endswith(": FAIL\n")
+    residual = out.splitlines()[-1].split()[2].rstrip(":")
+    assert Fraction(residual) > 0
+    assert json.loads(err)["error"] == {
+        "code": 1, "message": f"max residual {residual} is not 0"}
+
+
+def test_correlator_refuses_over_cap_work_before_building_states(
+        capsys, monkeypatch):
+    def fail(k):
+        raise AssertionError("trace states built")
+
+    monkeypatch.setattr(cli, "raw_trace_states", fail)
+    code, out, err = run(capsys, "correlator", "--k", "7", "--N", "3")
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == {
+        "code": 2, "message": "OutOfRange: dense realization of 3^14 "
+                              "entries exceeds cap 1000000"}
 
 
 def test_negative_seed_is_config_error(capsys):
@@ -223,8 +244,8 @@ def test_closed_stdout_mid_stream_exits_quietly():
 
 
 def test_exact_commands_leave_numpy_unloaded():
-    # numpy is imported only on the float path, correlator; every verify
-    # check is exact.  A fresh interpreter shows what each command loads
+    # every command is exact, so none imports numpy.  A fresh interpreter
+    # shows what each command loads
     script = """
 import sys
 import birdtracks, birdtracks.cli
@@ -232,11 +253,10 @@ assert "numpy" not in sys.modules, "import"
 for argv in ("basis --k 2", "gram --k 2 --N 2", "singlets --k 2",
              "trace-basis --k 2 --normalized", "lr --m 2 --n 1 --N 3",
              "transient --m 3 --n 0 --N 3", "eval --k 2 --N 2",
-             "verify --check loop-factor", "verify"):
+             "verify --check loop-factor", "verify",
+             "correlator --k 2 --N 3"):
     assert birdtracks.cli.main(argv.split()) == 0, argv
     assert "numpy" not in sys.modules, argv
-assert birdtracks.cli.main("correlator --k 1 --N 2".split()) == 0
-assert "numpy" in sys.modules, "correlator"
 """
     src = os.path.dirname(os.path.dirname(birdtracks.__file__))
     env = dict(os.environ, PYTHONPATH=src)
@@ -302,11 +322,7 @@ _CHECK_NAMES = ("baryon-equivalence, chi-constants, loop-factor, "
      f"unknown checks: nonesuch, other (available: {_CHECK_NAMES})"),
     ("correlator --k 1 --N 2 --samples 0 --seed -1",
      "--samples must be at least 1"),
-    ("correlator --k 1 --N 2 --seed -1 --tolerance 0",
-     "--seed must be at least 0"),
-    ("correlator --k 1 --N 2 --tolerance 0", "--tolerance must be positive"),
-    ("correlator --k 1 --N 2 --tolerance nan",
-     "--tolerance must be positive"),
+    ("correlator --k 1 --N 2 --seed -1", "--seed must be at least 0"),
 ])
 def test_config_error_messages(capsys, argv, message):
     code, out, err = run(capsys, *argv.split())
@@ -524,8 +540,8 @@ def test_json_output_bytes_are_pinned(capsys, argv, digest):
 
 
 # sha256 of stdout for every command in every format it offers, k <= 3,
-# recorded before the permutation helpers were merged.  correlator is left
-# out: its floats come from LAPACK QR and can differ between machines.
+# recorded before the permutation helpers were merged; correlator's were
+# recorded when it became exact.
 @pytest.mark.parametrize("argv, digest", [
     ("basis --k 3 --source builtin --format text",
      "9cbc71fd6cd920f0862fb3e7664e6f9716b3d0cec7f613e7605ada27564d7315"),
@@ -619,6 +635,10 @@ def test_json_output_bytes_are_pinned(capsys, argv, digest):
      "1f931fb4a1ac35dc72828623b5599aa394388a71dc519b07488ebe7314195e77"),
     ("verify --check loop-factor --check pieri-dimensions --format json",
      "948a603c2fa26298c70a393677dd542667bbb09afa44b8a5260ecd51e10ef6d9"),
+    ("correlator --k 2 --N 3 --seed 7 --samples 2 --format text",
+     "34e9b8a7b0df7a662af6e3456fb9d02bf16a761f780e5c575a6c5f763962b721"),
+    ("correlator --k 2 --N 3 --seed 7 --samples 2 --format json",
+     "7f350aa523031212cf3a686e4821413ce86f3234f70af68d8464c78c6a33c263"),
 ])
 def test_cli_stdout_bytes_are_pinned(capsys, argv, digest):
     code, out, _ = run(capsys, *argv.split())

@@ -47,13 +47,10 @@ from birdtracks.errors import (
 )
 from birdtracks.numeric import (
     ExactTensor,
-    apply_per_leg,
-    correlator_matrix,
     evaluate,
     evaluate_float,
     integer_entries,
     sample_special_linear,
-    sample_special_unitary,
 )
 from birdtracks.singlets import (
     SingletOperator,
@@ -94,10 +91,6 @@ INTEGER_ARGUMENTS = [
      "N"),
     ("integer_entries-N", lambda v: integer_entries(_KET, v), 1, OutOfRange,
      "N"),
-    ("sample_special_unitary-N", lambda v: sample_special_unitary(v, 0), 2,
-     OutOfRange, "N"),
-    ("sample_special_unitary-seed", lambda v: sample_special_unitary(2, v), 0,
-     OutOfRange, "seed"),
     ("sample_special_linear-N", lambda v: sample_special_linear(v, 0), 2,
      OutOfRange, "N"),
     ("sample_special_linear-seed", lambda v: sample_special_linear(2, v), 0,
@@ -296,18 +289,6 @@ ERROR_PATHS = [
      "not an axis permutation"),
     ("ExactTensor.trace-non-square", lambda: ExactTensor((2, 3)).trace(),
      DimensionMismatch, "non-square shape"),
-    ("correlator_matrix-operator",
-     lambda: correlator_matrix([_OP], [np.eye(2)] * 2, 2), DimensionMismatch,
-     "must be kets"),
-    ("correlator_matrix-legs",
-     lambda: correlator_matrix([_KET], [np.eye(2)], 2), DimensionMismatch,
-     "1 matrices for 2 legs"),
-    ("correlator_matrix-mixed",
-     lambda: correlator_matrix([_KET, _OTHER_KET], [np.eye(2)] * 2, 2),
-     DimensionMismatch, "mixed signatures"),
-    ("apply_per_leg-axes",
-     lambda: apply_per_leg(np.zeros((2, 2)), [np.eye(2)]), DimensionMismatch,
-     "1 matrices for 2 axes"),
     ("epsilon_tensor-cap", lambda: epsilon_tensor(8), OutOfRange,
      "exceeds the dense cap"),
     ("parse_cycles-stray-entry", lambda: parse_cycles("(1 2)3(4)", 4),

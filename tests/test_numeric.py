@@ -23,15 +23,12 @@ from birdtracks.diagrams import (
 from birdtracks.errors import OutOfRange, RadicalComparisonUnsupported
 from birdtracks.numeric import (
     ExactTensor,
-    apply_per_leg,
-    correlate,
-    correlator_matrix,
+    _act_per_leg,
     evaluate,
     evaluate_float,
     exact_rank,
     integer_entries,
     sample_special_linear,
-    sample_special_unitary,
 )
 from birdtracks.tracebasis import raw_trace_states
 from su_generators import generalized_gell_mann
@@ -163,20 +160,9 @@ def test_exact_rank_basics():
     assert exact_rank(skewed) == 2
 
 
-def test_sampled_unitary_is_special_and_seed_stable():
-    for n in (2, 3, 4):
-        u = sample_special_unitary(n, seed=5)
-        again = sample_special_unitary(n, seed=5)
-        assert np.array_equal(u, again)
-        assert np.max(np.abs(u @ u.conj().T - np.eye(n))) < 1e-12
-        assert abs(np.linalg.det(u) - 1) < 1e-12
-        other = sample_special_unitary(n, seed=6)
-        assert np.max(np.abs(u - other)) > 1e-3
-
-
 def test_negative_seed_is_refused():
     with pytest.raises(OutOfRange, match="seed"):
-        sample_special_unitary(2, seed=-1)
+        sample_special_linear(2, seed=-1)
 
 
 def _exact_det(m):
@@ -210,54 +196,50 @@ def test_special_linear_sample_is_seed_stable():
 
 
 def test_sampled_unitaries_fix_every_trace_state():
-    # the float route of correlator: U on fundamental legs, conj(U) on
-    # antifundamental ones, for every k <= 3 trace state
+    # correlator's action: g on fundamental legs, g^-T on antifundamental
+    # ones, for every k <= 3 trace state, compared exactly
     for k in (1, 2, 3):
         states = raw_trace_states(k)
-        for n in (2, 3):
-            vecs = [evaluate_float(s, n) for s in states]
-            for seed in range(5):
-                u = sample_special_unitary(n, seed)
-                legs = [u] * k + [np.conj(u)] * k
-                for vec in vecs:
-                    moved = apply_per_leg(vec, legs)
-                    assert np.max(np.abs(moved - vec)) < 1e-10
+        for n in (2, 3, 4):
+            kets = [integer_entries(s, n)[1] for s in states]
+            for seed in range(3):
+                g, h = sample_special_linear(n, seed)
+                for ket in kets:
+                    assert _act_per_leg(ket, [g] * k + [h] * k) == ket
 
 
 def test_delta_ket_is_invariant():
     ket = identity(Signature("q")).bend()
     assert ket.sig.orientations == "qb"
     for n in (2, 3):
-        vec = evaluate_float(ket, n)
+        den, entries = integer_entries(ket, n)
+        assert den == 1
         for seed in range(3):
-            u = sample_special_unitary(n, seed)
-            # U on the fundamental leg, conj(U) on the antifundamental one
-            big = np.kron(u, np.conj(u))
-            moved = (big @ vec.reshape(-1)).reshape(vec.shape)
-            assert np.max(np.abs(moved - vec)) < 1e-12
-
-
-def test_gram_correlation_is_the_identity_contraction():
-    # correlator's unrotated matrix: the plain Gram matrix of the dense
-    # kets has the bits of contracting the identity into every leg
-    for k, n in ((1, 2), (2, 3), (3, 3)):
-        states = raw_trace_states(k)
-        eye = np.eye(n, dtype=complex)
-        assert np.array_equal(
-            correlate([evaluate_float(s, n) for s in states]),
-            correlator_matrix(states, [eye] * (2 * k), n))
+            g, h = sample_special_linear(n, seed)
+            # g on the fundamental leg, g^-T on the antifundamental one
+            assert _act_per_leg(entries, [g, h]) == entries
+            # g on both legs moves it: g g^T is not the identity
+            assert _act_per_leg(entries, [g, g]) != entries
+            # g on one leg of delta leaves g, or its transpose, behind
+            eye = [[int(i == j) for j in range(n)] for i in range(n)]
+            g_entries = {(a, b): x for a, row in enumerate(g)
+                         for b, x in enumerate(row) if x}
+            assert _act_per_leg(entries, [g, eye]) == g_entries
+            assert _act_per_leg(entries, [eye, g]) == {
+                (b, a): x for (a, b), x in g_entries.items()}
 
 
 def test_dipole_correlator_at_coincidence():
-    from birdtracks.coefficients import sqrt
+    # both endpoints on the same Wilson line: <delta| g (x) g^-T |delta>
+    # is tr(g g^-1) = N for the unnormalised delta ket
     ket = identity(Signature("q")).bend()
-    n = 3
-    norm = sqrt(Fraction(1, n))
-    state = ket.scaled(norm)
-    u = sample_special_unitary(n, seed=11)
-    # both endpoints on the same Wilson line: U and conj(U)
-    mat = correlator_matrix([state], [u, np.conj(u)], n)
-    assert abs(mat[0, 0] - 1.0) < 1e-12
+    for n in (2, 3, 4):
+        _, entries = integer_entries(ket, n)
+        for seed in range(3):
+            g, h = sample_special_linear(n, seed)
+            moved = _act_per_leg(entries, [g, h])
+            assert sum(v * moved.get(key, 0)
+                       for key, v in entries.items()) == n
 
 
 def test_fierz_identity_with_explicit_generators():

@@ -17,11 +17,12 @@ from birdtracks.diagrams import (
 )
 from birdtracks.errors import BirdtrackError, OutOfRange, PoleAtN, UnsupportedK
 from birdtracks.numeric import (
-    apply_per_leg,
+    _act_per_leg,
     evaluate,
     evaluate_float,
     exact_rank,
-    sample_special_unitary,
+    integer_entries,
+    sample_special_linear,
 )
 from birdtracks.singlets import (
     SingletOperator,
@@ -375,14 +376,12 @@ def test_bent_states_are_invariant_under_sampled_unitaries():
     states = basis_states(2, "builtin")
     for n in (2, 3):
         for seed in (0, 1):
-            u = sample_special_unitary(n, seed)
-            mats = [u, u, u.conj(), u.conj()]
+            g, h = sample_special_linear(n, seed)
             for state in states:
-                dense = np.zeros((n,) * 4, dtype=complex)
-                for key, val in evaluate(state, n).entries.items():
-                    dense[key] = float(val)
-                moved = apply_per_leg(dense, mats)
-                assert abs(moved - dense).max() < 1e-10
+                _, entries = integer_entries(state, n)
+                legs = [g if o == "q" else h for o in state.sig.orientations]
+                assert legs == [g, g, h, h]
+                assert _act_per_leg(entries, legs) == entries
 
 
 def test_singlet_operator_json_round_trip():
