@@ -58,16 +58,12 @@ _XI_INVERSE_SQUARED = (
 )
 
 
-def _rc(value) -> RadicalCoefficient:
-    return RadicalCoefficient.from_rational(value)
-
-
 def check_chi_constants() -> bool:
     """Bent three-strand basis elements have the advertised squared norms."""
     bent = [element.bend() for element in builtin_orthogonal_basis(3)]
     pattern = (0, 1, 1, 1, 1, 2)
     return len(bent) == len(pattern) and all(
-        inner_product(state, state) == _rc(_CHI_INVERSE[which])
+        inner_product(state, state) == _CHI_INVERSE[which]
         for state, which in zip(bent, pattern))
 
 
@@ -76,14 +72,14 @@ def check_xi_constants() -> bool:
     basis = normalized_trace_basis(3)
     pattern = (0, 1, 1, 1, 2, 3)
     if len(basis) != len(pattern) or not all(
-            inner_product(op.ket, op.ket) == _rc(_XI_INVERSE_SQUARED[w])
+            inner_product(op.ket, op.ket) == _XI_INVERSE_SQUARED[w]
             for op, w in zip(basis, pattern)):
         return False
     # the raw three-cycle states are not orthogonal; their overlap is what
     # forces the plus/minus combinations above
     overlap = inner_product(trace_basis_state("(1 2 3)"),
                             trace_basis_state("(1 3 2)"))
-    return overlap == _rc(rf([2, 0, -2], [0, 1]))
+    return overlap == rf([2, 0, -2], [0, 1])
 
 
 def check_operator_algebra() -> bool:
@@ -193,28 +189,35 @@ def check_pieri_dimensions() -> bool:
 
 
 def check_unitary_invariance() -> bool:
-    """Every generator of sl(N) annihilates every k <= 3 trace state.
+    """The Chevalley generators of sl(N) kill every k <= 3 trace state.
 
     Exact at N = 2, 3.  A generator X acts as X on a fundamental leg and
-    as -X^T on an antifundamental one, the derivative of U and conj(U);
-    SU(N) is connected, so a state its Lie algebra kills is fixed by the
-    whole group.  The E_ab (a != b) and E_aa - E_a+1,a+1 span sl(N).
+    as -X^T on an antifundamental one, the derivative of U and conj(U).
+    What they kill sl(N) kills (see _sl_generators), and SU(N) is
+    connected, so such a state is fixed by the whole group.
     """
     for k in (1, 2, 3):
         states = raw_trace_states(k)
         for n in (2, 3):
-            generators = [{(a, b): 1} for a in range(n) for b in range(n)
-                          if a != b]
-            generators += [{(a, a): 1, (a + 1, a + 1): -1}
-                           for a in range(n - 1)]
             for state in states:
                 _, entries = integer_entries(state, n)
-                for x in generators:
+                for x in _sl_generators(n):
                     legs = [x if o == FUND else _dual(x)
                             for o in state.sig.orientations]
                     if _lie_action(entries, legs):
                         return False
     return True
+
+
+def _sl_generators(n: int) -> list[dict]:
+    """The 2(N - 1) Chevalley generators E_a,a+1 and E_a+1,a of sl(N).
+
+    Brackets of neighbours give every E_ab with a != b, and [E_ab, E_ba]
+    = E_aa - E_bb, so they generate sl(N) as a Lie algebra; what kills a
+    state kills its brackets too, so sl(N) kills every state they kill.
+    """
+    return [{pair: 1} for a in range(n - 1)
+            for pair in ((a, a + 1), (a + 1, a))]
 
 
 def _dual(x: dict) -> dict:
@@ -242,7 +245,8 @@ def _radical_parts(element):
     grouped = {}
     for diag, coeff in element.terms.items():
         for key, mult in coeff.terms.items():
-            grouped.setdefault(key, {})[diag] = _rc(mult)
+            part = RadicalCoefficient.from_rational(mult)
+            grouped.setdefault(key, {})[diag] = part
     return [(sqrt_coeff(rf(list(key))),
              InvariantElement(element.sig, terms))
             for key, terms in sorted(grouped.items())]

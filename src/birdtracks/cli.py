@@ -245,17 +245,12 @@ def _value_text(rc: RadicalCoefficient, at: int | None) -> str:
     return _eval_str(rc.eval_at(at))
 
 
-def _element_rows(element):
-    """(cycle text, coefficient) rows of an element, in stable order."""
-    return [(format_cycles(diag.perm), element.terms[diag])
-            for diag in sorted(element.terms, key=lambda d: d.perm)]
-
-
 def _coefficient_table(element, caption: str) -> list[str]:
     lines = [f"% {caption}", "\\begin{tabular}{ll}",
              "cycles & coefficient \\\\", "\\hline"]
-    for cycles, coeff in _element_rows(element):
-        lines.append(f"${cycles}$ & ${_rad_latex(coeff)}$ \\\\")
+    for diag in sorted(element.terms, key=lambda d: d.perm):
+        lines.append(f"${format_cycles(diag.perm)}$ & "
+                     f"${_rad_latex(element.terms[diag])}$ \\\\")
     lines.append("\\end{tabular}")
     return lines
 

@@ -229,7 +229,7 @@ class RationalFunction:
 
     @classmethod
     def from_fraction(cls, value: int | Fraction) -> "RationalFunction":
-        f = Fraction(value)
+        f = _fraction(value, "coefficient")
         if f == 0:
             return _RF_ZERO
         return cls((f.numerator,), (f.denominator,), _reduced=True)
@@ -298,7 +298,7 @@ class RationalFunction:
 
     def eval_at(self, n: int | Fraction) -> Fraction:
         # at an integer n both polynomials evaluate in integers
-        x = n if isinstance(n, int) else Fraction(n)
+        x = n if isinstance(n, int) else _fraction(n, "N")
         d = _p_eval(self.den, x)
         if d == 0:
             raise PoleAtN(f"denominator of {self} vanishes at N={n}")
@@ -346,13 +346,18 @@ def _json_list(data, field: str, kind: type) -> list:
     return items
 
 
+def _fraction(x, name: str) -> Fraction:
+    """x as an exact scalar: a Fraction as it is, a numpy scalar by its
+    Python value, and anything else through integer(), which refuses floats."""
+    if isinstance(x, Fraction):
+        return x
+    return Fraction(integer(x.item() if hasattr(x, "item") else x, name, None))
+
+
 def _as_rf(x) -> RationalFunction:
-    """x as a RationalFunction; ints, numpy integers and Fractions are
-    constants, and anything else is OutOfRange."""
+    """x as a RationalFunction; scalars are read by _fraction."""
     if isinstance(x, RationalFunction):
         return x
-    if not isinstance(x, Fraction):
-        x = integer(x, "coefficient", None)
     return RationalFunction.from_fraction(x)
 
 
@@ -565,7 +570,7 @@ class RadicalCoefficient:
         contributes value * sqrt(d); negative d is kept formal.
         """
         out: dict[int, Fraction] = {}
-        x = n if isinstance(n, int) else Fraction(n)
+        x = n if isinstance(n, int) else _fraction(n, "N")
         for key, mult in self.terms.items():
             m = mult.eval_at(n)
             if key != _UNIT_KEY:
@@ -683,8 +688,8 @@ def rf(num: Iterable[int | Fraction],
        den: Iterable[int | Fraction] = (1,)) -> RationalFunction:
     """A RationalFunction from int or Fraction coefficient lists, lowest
     degree first."""
-    num = [Fraction(c) for c in num]
-    den = [Fraction(c) for c in den]
+    num = [_fraction(c, "coefficient") for c in num]
+    den = [_fraction(c, "coefficient") for c in den]
     scale = math.lcm(*(c.denominator for c in num + den))
     return RationalFunction(_trim([int(c * scale) for c in num]),
                             _trim([int(c * scale) for c in den]))

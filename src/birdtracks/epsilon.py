@@ -11,10 +11,10 @@ identities carry a rational 1/N! per pair and no phase at all.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 from functools import reduce
 
-from .coefficients import rf
 from .diagrams import (
     _Record,
     _perm_sign,
@@ -214,19 +214,6 @@ def leibniz_translate(tensor_in: ExactTensor, j: int):
     return ExactTensor(shape, entries=out), block
 
 
-def _mat_mul(a, b):
-    size = len(a)
-    out = [[0] * size for _ in range(size)]
-    for i, row in enumerate(a):
-        target = out[i]
-        for t, x in enumerate(row):
-            if x:
-                for c, y in enumerate(b[t]):
-                    if y:
-                        target[c] += x * y
-    return out
-
-
 def _swallow_columns(t: ExactTensor, columns) -> ExactTensor:
     """Contract each column of N - 1 axes of t into an epsilon, in turn.
 
@@ -248,19 +235,18 @@ def lr_pair_projector(kind: str, n_param: int) -> ExactTensor:
 
     Starts from the N-strand projector whose shape column-reduces to the
     requested irrep: the full antisymmetric column for the singlet, and
-    for the adjoint the hermitian form (2(N-1)/N) S12 A(2..N) S12 of
-    the one-row-of-two projector (S12 absorbs the swap of levels 1 and
-    2, so this is S12 A(1,3..N) S12).  Both sides then have their legs
-    2..N swallowed by an epsilon, the completed pair pays its 1/N!, and
-    the leftover rational scale is pinned by squaring, since the result
-    must be idempotent (for the singlet seed that scale works out to N).
-    Axes run (fund out, anti out, fund in, anti in); the results agree
-    with the Fierz forms (1/N) trace-pair and identity - (1/N) trace-pair.
+    for the adjoint S12 A(2..N) S12, a positive multiple of the hermitian
+    one-row-of-two projector (S12 absorbs the swap of levels 1 and 2, so
+    this is S12 A(1,3..N) S12).  Both sides then have their legs 2..N
+    swallowed by an epsilon.  Axes run (fund out, anti out, fund in, anti
+    in); the results agree with the Fierz forms (1/N) trace-pair and
+    identity - (1/N) trace-pair.
 
-    The seed's integer entries are translated and squared in integers:
-    its denominator and the 1/N! are one positive factor c, and with M
-    the integer matrix, M / c squares to a multiple of itself iff M does,
-    and then the projector is M / scale for M^2 = scale * M.
+    Only the seed's integer numerators are translated, so every positive
+    scale is lost, and idempotency pins it: the translated operator M,
+    rows keyed by the output axes and columns by the input axes, must
+    square to p/x times itself, x its entry at its least index and p the
+    square's entry there, and the projector is M x / p.
     """
     n = integer(n_param, "N", 2)
     if kind == "singlet":
@@ -268,25 +254,26 @@ def lr_pair_projector(kind: str, n_param: int) -> ExactTensor:
     elif kind == "adjoint":
         sym = symmetrizer([1, 2], n)
         seed = compose(compose(sym, antisymmetrizer(range(2, n + 1), n)), sym)
-        seed = seed.scaled(rf([2 * (n - 1)]) / rf([n]))
     else:
         raise OutOfRange(f"unknown projector kind {kind!r}")
     t = ExactTensor((n,) * (2 * n), entries=integer_entries(seed, n)[1])
-    raw = _swallow_columns(t, [range(1, n), range(n + 1, 2 * n)])
-    mat = raw.matrix_rows(2)
-    square = _mat_mul(mat, mat)
-    # scale = p / x at the first nonzero entry x of M, p its square's entry
-    x, p = next(((x, row_s[c]) for row_m, row_s in zip(mat, square)
-                 for c, x in enumerate(row_m) if x), (0, 0))
+    mat = _swallow_columns(t, [range(1, n), range(n + 1, 2 * n)]).entries
+    rows: dict[tuple, list] = {}
+    for idx, val in mat.items():
+        rows.setdefault(idx[:2], []).append((idx[2:], val))
+    square = Counter()
+    for idx, val in mat.items():
+        for col, y in rows.get(idx[2:], ()):
+            square[idx[:2] + col] += val * y
+    first = min(mat, default=None)
+    x, p = mat.get(first, 0), square[first]
     if not p:
         raise NotProportional("translated operator squares to zero")
-    for row_m, row_s in zip(mat, square):
-        for m, y in zip(row_m, row_s):
-            if y * x != p * m:
-                raise NotProportional(
-                    "translated operator does not square to itself")
-    return ExactTensor(raw.shape, entries={
-        key: Fraction(val * x, p) for key, val in raw.entries.items()})
+    if any(square[key] * x != p * mat.get(key, 0)
+           for key in mat.keys() | square.keys()):
+        raise NotProportional("translated operator does not square to itself")
+    return ExactTensor((n,) * 4, entries={
+        key: Fraction(val * x, p) for key, val in mat.items()})
 
 
 def _transient_operator(params: TransientParams, n_param: int):

@@ -21,6 +21,7 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import TYPE_CHECKING, Sequence
 
+from .coefficients import _fraction
 from .diagrams import InvariantElement
 from .errors import DimensionMismatch, OutOfRange, integer
 
@@ -209,13 +210,12 @@ def exact_rank(rows: Sequence[Sequence[Fraction]]) -> int:
 
 
 def _integer_row(row: Sequence) -> dict[int, int]:
-    """{column: entry} of a rational row's nonzero entries, scaled to
-    coprime integers."""
-    cells = {c: x for c, x in enumerate(row) if x}
+    """{column: entry} of a row's nonzero entries, scaled to coprime
+    integers; any entry but an int, zero too, is read by _fraction."""
+    cells = {c: x for c, x in enumerate(row) if x or type(x) is not int}
     if any(type(x) is not int for x in cells.values()):
-        # numpy scalars (np.bool_ is no Rational) read as Python numbers
-        cells = {c: Fraction(x.item() if hasattr(x, "item") else x)
-                 for c, x in cells.items()}
+        cells = {c: f for c, x in cells.items()
+                 if (f := _fraction(x, "matrix entry"))}
         scale = math.lcm(*(x.denominator for x in cells.values()))
         cells = {c: x.numerator * (scale // x.denominator)
                  for c, x in cells.items()}

@@ -255,7 +255,7 @@ def singlet_count(k: int, n: int, source: str = "trace") -> int:
                    if (1 / op.normalization).rational_part().eval_at(n))
     count = 1
     for s in range(2, k + 1):
-        _, entries, rows = derangement_block(s)
+        entries, rows = derangement_block(s)
         scale = math.lcm(*(_p_eval(e.den, n) for e in entries))
         values = [_p_eval(e.num, n) * scale // _p_eval(e.den, n)
                   for e in entries]

@@ -146,5 +146,4 @@ def builtin_orthogonal_basis(k: int) -> list[InvariantElement]:
     p_mixed_sym = compose(compose(s12, a13), s12).scaled(four_thirds)
     p_mixed_asym = compose(compose(a12, s13), a12).scaled(four_thirds)
     t_down = compose(compose(s12, swap23), a12).scaled(root)
-    t_up = compose(compose(a12, swap23), s12).scaled(root)
-    return [s123, p_mixed_sym, t_down, t_up, p_mixed_asym, a123]
+    return [s123, p_mixed_sym, t_down, t_down.dagger(), p_mixed_asym, a123]

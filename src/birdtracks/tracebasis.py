@@ -240,11 +240,11 @@ def raw_trace_states(k: int):
 
 @lru_cache(maxsize=None)
 def derangement_block(s: int):
-    """The derangement trace states on s points and their Gram matrix D_s.
+    """The Gram matrix D_s of the derangement trace states on s points.
 
-    Returns (states, entries, rows) as tuples: derangement_states(s),
-    each distinct inner product <i|j> over Q(N) once, and rows[i][j], the
-    index in entries of D_s[i][j].  The Gram matrix of
+    Returns (entries, rows) as tuples: each distinct inner product <i|j>
+    over Q(N) once, and rows[i][j], the index in entries of D_s[i][j],
+    for the states of derangement_states(s) in order.  The Gram matrix of
     raw_trace_states(k) is block diagonal by moved set.  The states whose
     moved set S has s points, in all_decompositions(k) order, have the
     block N^(k-s) D_s: relabelling S onto 1..s in order keeps that order,
@@ -288,7 +288,7 @@ def derangement_block(s: int):
             for x, y in zip(ours, theirs):
                 back[x] = y
         rows.append(tuple(row[_conjugate(back, sigma)] for sigma in perms))
-    return states, tuple(distinct), tuple(rows)
+    return tuple(distinct), tuple(rows)
 
 
 def normalized_trace_basis(k: int):
@@ -322,7 +322,7 @@ def normalized_trace_basis(k: int):
     for moved, indices in blocks.items():
         s = len(moved)
         if s not in factors:
-            entries, rows = (derangement_block(s)[1:] if s
+            entries, rows = (derangement_block(s) if s
                              else ((_RF_ONE,), ((0,),)))
             gram = [[entries[j] for j in row] for row in rows]
             if k == 3 and s == 3:

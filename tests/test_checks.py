@@ -9,6 +9,7 @@ import pytest
 from birdtracks import checks
 from birdtracks.coefficients import rf
 from birdtracks.errors import OutOfRange
+from birdtracks.numeric import exact_rank
 from birdtracks.singlets import SingletOperator
 
 
@@ -125,6 +126,40 @@ def test_wrong_input_fails_the_check(monkeypatch, check, name, fake):
     assert check() is False
     monkeypatch.undo()
     assert check() is True
+
+
+def _bracket(x, y):
+    """[X, Y] = XY - YX of two {(row, col): value} matrices."""
+    out = {}
+    for (a, b), u in x.items():
+        for (c, d), v in y.items():
+            if b == c:
+                out[a, d] = out.get((a, d), 0) + u * v
+            if d == a:
+                out[c, b] = out.get((c, b), 0) - v * u
+    return {key: v for key, v in out.items() if v}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_sl_generators_generate_sl_n(n):
+    # the Lie closure of the 2(N - 1) generators has dimension N^2 - 1:
+    # bracket every basis element with every generator, and keep a
+    # bracket when it raises the rank of the flattened N x N matrices
+    generators = checks._sl_generators(n)
+    assert len(generators) == 2 * (n - 1)
+
+    def flat(x):
+        return [x.get((a, b), 0) for a in range(n) for b in range(n)]
+
+    basis = list(generators)
+    assert exact_rank([flat(x) for x in basis]) == len(basis)
+    for x in basis:  # grows as brackets join
+        for y in generators:
+            z = _bracket(x, y)
+            if exact_rank([flat(w) for w in basis + [z]]) > len(basis):
+                basis.append(z)
+    assert len(basis) == n * n - 1
+    assert all(sum(x.get((a, a), 0) for a in range(n)) == 0 for x in basis)
 
 
 def test_unknown_check_name_is_out_of_range():

@@ -49,6 +49,7 @@ from birdtracks.numeric import (
     ExactTensor,
     evaluate,
     evaluate_float,
+    exact_rank,
     integer_entries,
     sample_special_linear,
 )
@@ -239,12 +240,25 @@ def test_float_exponents_and_axes_are_refused():
     with pytest.raises(OutOfRange, match="axis"):
         ExactTensor((2, 2)).permuted((1.0, 0.0))
     assert rf([0, 1]) ** np.int64(-2) == rf([1], [0, 0, 1])
+    # exact scalars: a float, string, None or NaN was read as a binary
+    # fraction, dropped as a zero or raised a bare error
+    for bad in (0.5, "1", None, float("nan")):
+        with pytest.raises(OutOfRange, match="matrix entry"):
+            exact_rank([[bad, 1]])
+        with pytest.raises(OutOfRange, match="^N must be an integer"):
+            rf([0, 1]).eval_at(bad)
+        with pytest.raises(OutOfRange, match="^N must be an integer"):
+            sqrt(rf([0, 1])).eval_at(bad)
+    assert exact_rank([[np.bool_(True), Fraction(1, 2)]]) == 1
+    assert rf([0, 1]).eval_at(Fraction(1, 2)) == Fraction(1, 2)
 
 
 # (id, a call of one coefficient argument): each raised a bare TypeError
-# for a numpy integer
+# for a numpy integer or read a float as a binary fraction
 COEFFICIENT_ARGUMENTS = [
     ("sqrt", sqrt),
+    ("rf", lambda v: rf([v])),
+    ("RationalFunction.from_fraction", RationalFunction.from_fraction),
     ("RationalFunction-mul", lambda v: rf([0, 1]) * v),
     ("RationalFunction-div", lambda v: rf([0, 1]) / v),
     ("RadicalCoefficient-mul", lambda v: ONE * v),

@@ -310,7 +310,7 @@ def test_trace_counts_match_the_flattened_state_rank(k, ns):
 def test_derangement_block_ranks_invert_the_hook_length_counts(s):
     # 1 + sum_s C(k, s) rank D_s(n) = M_k(n), so by binomial inversion
     # rank D_s(n) = sum_j (-1)^(s-j) C(s, j) M_j(n)
-    _, entries, rows = derangement_block(s)
+    entries, rows = derangement_block(s)
     for n in range(1, 9):
         values = [entry.eval_at(n) for entry in entries]
         rank = exact_rank([[values[j] for j in row] for row in rows])
