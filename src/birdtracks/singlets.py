@@ -13,6 +13,7 @@ dimensionally null.
 """
 
 import math
+from operator import mul
 
 from .coefficients import RadicalCoefficient, _json_list, _p_eval, sqrt
 from .diagrams import (
@@ -29,6 +30,7 @@ from .errors import OutOfRange, PoleAtN, integer
 from .numeric import exact_rank
 from .symmetrizers import builtin_orthogonal_basis
 from .tracebasis import (
+    _isotypic_blocks,
     derangement_block,
     normalized_trace_basis,
     raw_trace_states,
@@ -234,17 +236,18 @@ def singlet_count(k: int, n: int, source: str = "trace") -> int:
     normalized_trace_basis(k), about 3 s at k = 5; the trace route
     answers the same counts from the cached D_s blocks.  The trace
     states' Gram matrix is block diagonal by moved set, the block of
-    each of the C(k, s) moved sets with s points being
-    N^(k-s) D_s (see derangement_block), so the trace count is
+    each of the C(k, s) moved sets with s points being N^(k-s) D_s (see
+    derangement_block), so the trace count is
     1 + sum_{s=2..k} C(k, s) rank D_s(n): the identity state, then the
     derangement states on s points.  Each distinct entry of D_s is
     evaluated once at n, as an integer over the lcm of the block's
-    denominators, and placed by derangement_block's index rows; the k!
-    trace states are never built.  Only an orthogonal source can have a
-    pole at n: a trace-state coefficient is a product of weights
-    c (-1/N)^j, so every denominator on the trace route is c N^j, which
-    is never 0 at n >= 1.  A source state with a coefficient that has a
-    pole at n does not specialize, and raises PoleAtN.
+    denominators, and rank D_s(n) is sum f_mu rank block_mu(n) over the
+    isotypic blocks of _isotypic_blocks, whose integer weights place
+    those entries; the k! trace states are never built.  Only an
+    orthogonal source can have a pole at n: a trace-state coefficient is
+    a product of weights c (-1/N)^j, so every denominator on the trace
+    route is c N^j, never 0 at n >= 1.  A source state with a coefficient
+    that has a pole at n does not specialize, and raises PoleAtN.
     """
     k, n = integer(k, "k", 1), integer(n, "N", 1)
     if source != "trace":
@@ -255,10 +258,12 @@ def singlet_count(k: int, n: int, source: str = "trace") -> int:
                    if (1 / op.normalization).rational_part().eval_at(n))
     count = 1
     for s in range(2, k + 1):
-        entries, rows = derangement_block(s)
+        entries, _ = derangement_block(s)
         scale = math.lcm(*(_p_eval(e.den, n) for e in entries))
         values = [_p_eval(e.num, n) * scale // _p_eval(e.den, n)
                   for e in entries]
-        count += math.comb(k, s) * exact_rank([[values[j] for j in row]
-                                               for row in rows])
+        count += math.comb(k, s) * sum(
+            f * exact_rank([[sum(map(mul, cell, values)) for cell in row]
+                            for row in block])
+            for f, block in _isotypic_blocks(s))
     return count

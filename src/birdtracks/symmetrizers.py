@@ -22,6 +22,7 @@ from .diagrams import (
     Signature,
     _Record,
     _diagram,
+    _perm_inverse,
     _perm_sign,
     compose,
     identity,
@@ -60,6 +61,42 @@ class YoungShape(_Record):
         cols = tuple(sum(1 for r in self.rows if r > j)
                      for j in range(self.rows[0]))
         return YoungShape(cols)
+
+
+def _partitions(k: int, largest: int | None = None):
+    """The partitions of k with parts at most largest, (k) first."""
+    if k == 0:
+        yield ()
+    for first in range(min(k, largest or k), 0, -1):
+        for rest in _partitions(k - first, first):
+            yield (first,) + rest
+
+
+def _boxes(rows: tuple[int, ...]):
+    """(content, hook length) of each box of a shape, row by row."""
+    for i, row_len in enumerate(rows):
+        for j in range(row_len):
+            yield j - i, row_len - j + sum(r > j for r in rows[i + 1:])
+
+
+def _standard_tableaux(rows: tuple[int, ...]) -> int:
+    """f_shape, the number of standard tableaux: |shape|!/(hook product)."""
+    return math.factorial(sum(rows)) // math.prod(h for _, h in _boxes(rows))
+
+
+def _young_groups(rows: tuple[int, ...]):
+    """Yields the row group, then the column group, as 0-based one-line
+    permutations, of the row-reading tableau: box (i, j) holds
+    sum(rows[:i]) + j."""
+    starts = list(itertools.accumulate(rows, initial=0))
+    flat = itertools.chain.from_iterable
+    for lines in ([range(a, a + r) for a, r in zip(starts, rows)],
+                  [[a + j for a, r in zip(starts, rows) if r > j]
+                   for j in range(rows[0])]):
+        place = _perm_inverse(tuple(flat(lines)))  # box -> its slot in lines
+        yield [tuple(map(tuple(flat(images)).__getitem__, place))
+               for images in itertools.product(
+                   *map(itertools.permutations, lines))]
 
 
 def _shape_rows(shape) -> tuple[int, ...]:
@@ -110,15 +147,9 @@ def irrep_dimension(shape) -> RationalFunction:
 
     shape is read by _shape_rows; the empty shape has dimension 1.
     """
-    rows = _shape_rows(shape)
-    cols = YoungShape(rows).conjugate().rows if rows else ()
-    num = rf([1])
-    hooks = 1
-    for i, row_len in enumerate(rows):
-        for j in range(row_len):
-            num = num * rf([j - i, 1])
-            hooks *= (row_len - j) + (cols[j] - i) - 1
-    return num / rf([hooks])
+    boxes = list(_boxes(_shape_rows(shape)))
+    num = math.prod((rf([content, 1]) for content, _ in boxes), start=rf([1]))
+    return num / rf([math.prod(hook for _, hook in boxes)])
 
 
 def builtin_orthogonal_basis(k: int) -> list[InvariantElement]:

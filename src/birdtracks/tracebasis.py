@@ -37,6 +37,7 @@ from .diagrams import (
     _gram_form,
     _one_line,
     _perm_inverse,
+    _perm_sign,
     _permutation,
     identity,
     inner_product,
@@ -45,6 +46,7 @@ from .diagrams import (
     permutation_element,
 )
 from .errors import InvalidDecomposition, integer
+from .symmetrizers import _partitions, _standard_tableaux, _young_groups
 
 
 class CycleDecomposition(_Record):
@@ -218,9 +220,11 @@ def _ordered(k: int) -> list[tuple[int, ...]]:
     return sorted(itertools.permutations(range(integer(k, "k", 1))), key=key)
 
 
-def _derangements(s: int) -> list[tuple[int, ...]]:
+@lru_cache(maxsize=None)
+def _derangements(s: int) -> tuple[tuple[int, ...], ...]:
     """The fixed-point-free permutations among _ordered(s), in its order."""
-    return [p for p in _ordered(s) if all(x != i for i, x in enumerate(p))]
+    return tuple(p for p in _ordered(s)
+                 if all(x != i for i, x in enumerate(p)))
 
 
 def derangement_states(k: int):
@@ -289,6 +293,75 @@ def derangement_block(s: int):
                 back[x] = y
         rows.append(tuple(row[_conjugate(back, sigma)] for sigma in perms))
     return tuple(distinct), tuple(rows)
+
+
+@lru_cache(maxsize=None)
+def _isotypic_blocks(s: int):
+    """D_s split into blocks by the conjugation action of S_s.
+
+    Returns (f_mu, block) per shape mu of s that occurs, in _partitions
+    order; block[a][b] holds integer weights, one per entry of
+    derangement_block(s), and rank D_s(N) = sum f_mu rank block(N).
+
+    D_s commutes with conjugation.  With R, C the row and column groups of
+    mu's row-reading tableau, y = b_C a_R (signed sum over C, sum over R)
+    is a primitive idempotent up to scale: D_s maps W = y Q^(d_s), of
+    dimension m_mu, into itself, and the mu-isotypic part holds f_mu
+    copies of that map.  W is spanned by the B_O = b_C 1_O over R-orbits
+    O; the independent ones are kept.  b_C^T b_C = |C| b_C, so the block
+    [B_O^T D_s B_P] / |C| is [1_O^T D_s B_P], read at one derangement per
+    R-orbit, where 1_O^T D_s is constant.  The walk stops once
+    sum f_mu m_mu reaches d_s.
+    """
+    entries, rows = derangement_block(s)
+    perms = _derangements(s)
+    where = {p: i for i, p in enumerate(perms)}
+    blocks, total = [], 0
+    for shape in _partitions(s):
+        row_group, col_group = _young_groups(shape)
+        f = _standard_tableaux(shape)
+        signed = [(c, _perm_sign(c)) for c in col_group]
+        orbit_of, orbits = {}, []
+        for i, p in enumerate(perms):
+            if i not in orbit_of:
+                orbit = sorted({where[_conjugate(r, p)] for r in row_group})
+                orbit_of.update(dict.fromkeys(orbit, len(orbits)))
+                orbits.append(orbit)
+        echelon, kept = [], []  # (pivot, reduced B_O); (O, B_O by R-orbit)
+        for orbit in orbits:
+            vector = {}
+            for c, sign in signed:
+                for i in orbit:
+                    j = where[_conjugate(c, perms[i])]
+                    vector[j] = vector.get(j, 0) + sign
+            reduced = {j: x for j, x in vector.items() if x}
+            for pivot, row in echelon:
+                if factor := reduced.get(pivot):
+                    reduced = {j: x for j in reduced.keys() | row.keys()
+                               if (x := row[pivot] * reduced.get(j, 0)
+                                   - factor * row.get(j, 0))}
+            if reduced:
+                echelon.append((next(iter(reduced)), reduced))
+                sums = [0] * len(orbits)
+                for j, x in vector.items():
+                    sums[orbit_of[j]] += x
+                kept.append((orbit, sums))
+                total += f
+                if total == len(perms):
+                    break
+        block = []
+        for orbit, _ in kept:
+            cells = [[0] * len(entries) for _ in kept]
+            for q, members in enumerate(orbits):
+                for i in orbit:
+                    for cell, (_, sums) in zip(cells, kept):
+                        cell[rows[members[0]][i]] += sums[q]
+            block.append(tuple(map(tuple, cells)))
+        if block:
+            blocks.append((f, tuple(block)))
+        if total == len(perms):
+            break
+    return tuple(blocks)
 
 
 def normalized_trace_basis(k: int):

@@ -293,9 +293,10 @@ def test_trace_counts_at_k5_match_hook_lengths():
 
 
 def test_trace_counts_at_k6_evaluate_d5_and_d6_in_integers():
-    # the first two hook-length counts at k = 6; n = 2 ranks D_6(2)
-    assert [_hook_length_count(6, n) for n in (1, 2)] == [1, 132]
-    assert [singlet_count(6, n, "trace") for n in (1, 2)] == [1, 132]
+    # every n ranks the isotypic blocks of D_6(n), at most 6 by 6
+    want = [1, 132, 513, 694, 719, 720, 720, 720]
+    assert [_hook_length_count(6, n) for n in range(1, 9)] == want
+    assert [singlet_count(6, n, "trace") for n in range(1, 9)] == want
 
 
 @pytest.mark.parametrize("k, ns", [(4, range(1, 6)), (5, (1, 2))])

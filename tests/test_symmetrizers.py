@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -15,6 +16,9 @@ from birdtracks.errors import BirdtrackError, OutOfRange, UnsupportedK
 from birdtracks.numeric import evaluate
 from birdtracks.symmetrizers import (
     YoungShape,
+    _partitions as library_partitions,
+    _standard_tableaux,
+    _young_groups,
     antisymmetrizer,
     builtin_orthogonal_basis,
     irrep_dimension,
@@ -118,6 +122,35 @@ def test_irrep_dimension_formula():
             f = math.factorial(k) // hooks
             total = total + irrep_dimension(YoungShape(rows)) * f
         assert total == rf([0] * k + [1])
+
+
+@pytest.mark.parametrize("k", range(1, 8))
+def test_standard_tableaux_sum_to_the_group_and_its_involutions(k):
+    shapes = list(library_partitions(k))
+    assert shapes == list(_partitions(k))
+    f = [_standard_tableaux(rows) for rows in shapes]
+    # f_lambda is the dimension of the irrep: the regular representation
+    # holds f_lambda copies of each, and the involutions number sum f_lambda
+    perms = list(itertools.permutations(range(k)))
+    involutions = sum(1 for p in perms if all(p[x] == i
+                                              for i, x in enumerate(p)))
+    assert sum(x * x for x in f) == len(perms)
+    assert sum(f) == involutions
+
+
+@pytest.mark.parametrize("rows", [(1,), (2, 1), (3, 1), (2, 2), (3, 2, 1),
+                                  (2, 1, 1, 1)])
+def test_young_groups_fix_the_rows_and_the_columns(rows):
+    row_group, col_group = _young_groups(rows)
+    cols = YoungShape(rows).conjugate().rows
+    assert len(set(row_group)) == math.prod(map(math.factorial, rows))
+    assert len(set(col_group)) == math.prod(map(math.factorial, cols))
+    assert set(row_group) & set(col_group) == {tuple(range(sum(rows)))}
+    # the row-reading tableau: box (i, j) holds sum(rows[:i]) + j
+    box = {sum(rows[:i]) + j: (i, j)
+           for i, r in enumerate(rows) for j in range(r)}
+    assert all(box[p[x]][0] == box[x][0] for p in row_group for x in box)
+    assert all(box[p[x]][1] == box[x][1] for p in col_group for x in box)
 
 
 def _partitions(k, largest=None):

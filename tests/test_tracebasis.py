@@ -561,6 +561,74 @@ def test_derangement_block_keeps_each_entry_once(s, distinct):
                for i in range(len(d)) for j in range(i))
 
 
+def _block_at(block, values):
+    return [[sum(w * v for w, v in zip(cell, values)) for cell in row]
+            for row in block]
+
+
+def _det(rows):
+    """Determinant of a rational matrix by Gaussian elimination."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for c in range(len(rows)):
+        p = next((r for r in range(c, len(rows)) if rows[r][c]), None)
+        if p is None:
+            return Fraction(0)
+        if p != c:
+            rows[c], rows[p] = rows[p], rows[c]
+            det = -det
+        det *= rows[c][c]
+        for r in range(c + 1, len(rows)):
+            q = rows[r][c] / rows[c][c]
+            rows[r] = [a - q * b for a, b in zip(rows[r], rows[c])]
+    return det
+
+
+@pytest.mark.parametrize("s", [2, 3, 4, 5])
+def test_isotypic_block_ranks_add_up_to_the_derangement_rank(s):
+    # the reference: exact_rank of the whole D_s(N)
+    entries, rows = derangement_block(s)
+    blocks = tracebasis._isotypic_blocks(s)
+    for n in range(1, 9):
+        values = [entry.eval_at(n) for entry in entries]
+        want = exact_rank([[values[j] for j in row] for row in rows])
+        got = sum(f * exact_rank(_block_at(block, values))
+                  for f, block in blocks)
+        assert got == want, n
+
+
+@pytest.mark.parametrize("s, d", [(2, 1), (3, 2), (4, 9), (5, 44), (6, 265)])
+def test_isotypic_blocks_fill_the_derangement_block(s, d):
+    entries, rows = derangement_block(s)
+    blocks = tracebasis._isotypic_blocks(s)
+    assert len(rows) == d
+    assert sum(f * len(block) for f, block in blocks) == d
+    for _, block in blocks:
+        assert all(len(row) == len(block) for row in block)
+        assert all(len(cell) == len(entries) for row in block for cell in row)
+        assert all(block[a][b] == block[b][a]
+                   for a in range(len(block)) for b in range(a))
+    if s == 4:
+        assert [(f, len(block)) for f, block in blocks] == [
+            (1, 2), (2, 2), (3, 1)]
+    if s == 6:
+        assert max(len(block) for _, block in blocks) == 6
+
+
+@pytest.mark.parametrize("s", [3, 4, 5])
+def test_isotypic_blocks_keep_the_determinant_up_to_a_constant(s):
+    # the blocks are D_s in another basis, up to f_mu-fold copies, so the
+    # ratio of determinants does not depend on N
+    entries, rows = derangement_block(s)
+    ratios = set()
+    for n in range(s, s + 4):
+        values = [entry.eval_at(n) for entry in entries]
+        product = math.prod(_det(_block_at(block, values)) ** f
+                            for f, block in tracebasis._isotypic_blocks(s))
+        ratios.add(product / _det([[values[j] for j in row] for row in rows]))
+    assert len(ratios) == 1 and 0 not in ratios, ratios
+
+
 @pytest.mark.parametrize("s", [3, 4, 5])
 def test_trace_states_relabel_under_conjugation(s):
     def state(perm):
